@@ -31,7 +31,6 @@ import (
 	"maskfrac/internal/cover"
 	"maskfrac/internal/ebeam"
 	"maskfrac/internal/fracture/fixup"
-	"maskfrac/internal/fracture/lshape"
 	"maskfrac/internal/fracture/mbf"
 	"maskfrac/internal/fracture/partition"
 	"maskfrac/internal/fracture/vdose"
@@ -330,21 +329,24 @@ func BenchmarkExtensionVDose(b *testing.B) {
 }
 
 // BenchmarkExtensionLShape measures L-shape pairing (paper ref [20]) on
-// a rectilinearized ILT clip.
+// a rectilinearized ILT clip through the facade's MethodLShape.
 func BenchmarkExtensionLShape(b *testing.B) {
 	ilt, _ := suites()
-	p := mustCover(b, ilt[0].Target)
+	p, err := NewProblem(ilt[0].Target, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
-	var rects, shots int
+	var rects, flashes int
 	for i := 0; i < b.N; i++ {
-		res, err := lshape.Fracture(p)
+		res, err := p.Fracture(MethodLShape, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rects, shots = res.RectCount, res.ShotCount()
+		rects, flashes = res.ShotCount(), res.FlashCount()
 	}
 	b.ReportMetric(float64(rects), "rects")
-	b.ReportMetric(float64(shots), "l-shots")
+	b.ReportMetric(float64(flashes), "l-shots")
 }
 
 // BenchmarkBatch measures parallel full-mask fracturing throughput with

@@ -10,7 +10,6 @@ import (
 
 	"maskfrac"
 	"maskfrac/internal/cover"
-	"maskfrac/internal/fracture/lshape"
 	"maskfrac/internal/fracture/mbf"
 	"maskfrac/internal/fracture/vdose"
 	"maskfrac/internal/metrics"
@@ -55,19 +54,17 @@ func main() {
 	fmt.Printf("  dose range used: %.2f .. %.2f of nominal\n\n", lo, hi)
 
 	// Extension 2: L-shaped shots on a rectilinear version of the clip
-	// (conventional partition, pairs written as single L shots).
-	ls, err := lshape.Fracture(p)
+	// (conventional partition, pairs written as single L flashes).
+	prob, err := maskfrac.NewProblem(clip.Target, params)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lCount := 0
-	for _, s := range ls.Shots {
-		if s.IsL() {
-			lCount++
-		}
+	ls, err := prob.Fracture(maskfrac.MethodLShape, nil)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("L-shape extension: %d rectangles pair into %d shots (%d L-shots)\n",
-		ls.RectCount, ls.ShotCount(), lCount)
+	fmt.Printf("L-shape extension: %d rectangles pair into %d flashes (%d L-shots)\n",
+		ls.ShotCount(), ls.FlashCount(), len(ls.LPairs))
 	fmt.Printf("  note: partition-based, no proximity compensation — %d failing pixels\n",
-		ls.Stats.Fail())
+		ls.FailingPixels())
 }

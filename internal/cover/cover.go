@@ -358,11 +358,28 @@ func (s Stats) Feasible() bool { return s.Fail() == 0 }
 // problem's arena, so repeated from-scratch evaluations (quality
 // reports, cross-checks) allocate nothing at steady state.
 func (p *Problem) Evaluate(shots []geom.Rect) Stats {
+	return p.evaluate(shots, nil, nil)
+}
+
+// evaluate is the from-scratch reference behind Evaluate,
+// EvaluatePaired and the evaluator's cross-check: every shot
+// accumulates at its dose (doses nil means unit dose throughout), then
+// every pair's positive-area overlap accumulates negatively.
+func (p *Problem) evaluate(shots []geom.Rect, pairs [][2]int, doses []float64) Stats {
 	a := p.Arena()
 	dose := raster.Field{Grid: p.Grid, V: a.getF64(p.Grid.Len())}
 	scratch := a.getF32(0)
-	for _, s := range shots {
-		scratch = p.Model.AccumulateShotBuf(&dose, s, 1, scratch)
+	for i, s := range shots {
+		d := 1.0
+		if doses != nil {
+			d = doses[i]
+		}
+		scratch = p.Model.AccumulateShotBuf(&dose, s, d, scratch)
+	}
+	for _, pr := range pairs {
+		if o := pairOverlap(shots[pr[0]], shots[pr[1]]); o != (geom.Rect{}) {
+			scratch = p.Model.AccumulateShotBuf(&dose, o, -1, scratch)
+		}
 	}
 	st := p.statsOf(&dose)
 	a.putF32(scratch)
@@ -474,6 +491,9 @@ var evalCheckEnv = os.Getenv("MASKFRAC_EVAL_CHECK") != ""
 // dose of a single L-aperture flash over the union, and it prices as
 // one flash. Every mutator below stays incremental on paired shots.
 //
+// Each shot also carries a dose multiplier (SetShotDose, see dose.go),
+// 1 unless set otherwise; an L-shot's arms always stay at unit dose.
+//
 // An Eval is not safe for concurrent use.
 type Eval struct {
 	P     *Problem
@@ -488,6 +508,11 @@ type Eval struct {
 	// shot i is an unpaired rectangle. Symmetric: partner[partner[i]]
 	// == i for every paired i. Maintained by every structural mutator.
 	partner []int
+
+	// doses[i] is shot i's dose multiplier; nil while every shot has
+	// always been at unit dose, so rectangle-only solvers never touch
+	// it. Maintained by every structural mutator once allocated.
+	doses []float64
 
 	// Evals counts constraint evaluations (Stats queries and DeltaCost
 	// scorings) since construction — the solver effort measure reported
@@ -506,6 +531,7 @@ type Eval struct {
 	tab    edgeTabs  // moveScan scratch: per-component 1D edge tables
 	buf    []float32 // backing storage for tab
 	accBuf []float32 // AccumulateShotBuf scratch, reused across mutations
+	row    []float64 // ShotRows output row, reused across candidates
 	arena  *Arena    // owner of the buffers above; receives them on Close
 }
 
@@ -555,7 +581,7 @@ func (e *Eval) Close() {
 		a.putF32(e.accBuf)
 	}
 	e.Dose, e.failOn, e.failOff = nil, nil, nil
-	e.buf, e.accBuf = nil, nil
+	e.buf, e.accBuf, e.row = nil, nil, nil
 	e.tab = edgeTabs{}
 	e.arena = nil
 }
@@ -571,11 +597,13 @@ func (e *Eval) SetCrossCheck(on bool) { e.check = on }
 // rebuilds dose and violation state from scratch: O(grid + Σ support
 // boxes). Use it to restore a snapshot; single-shot changes should go
 // through the incremental mutators instead. Reset clears all L-shot
-// pairing — use ResetPaired to restore a paired snapshot.
+// pairing and per-shot doses — use ResetPaired to restore a paired
+// snapshot.
 func (e *Eval) Reset(shots []geom.Rect) {
 	clear(e.Dose.V)
 	e.Shots = append(e.Shots[:0], shots...)
 	e.resetPartners(len(e.Shots))
+	e.doses = nil
 	for _, s := range e.Shots {
 		e.accBuf = e.P.Model.AccumulateShotBuf(e.Dose, s, 1, e.accBuf)
 	}
@@ -624,11 +652,15 @@ func (e *Eval) RecomputeStats() Stats {
 	return e.stats
 }
 
-// Add appends shot s, accumulates its dose and folds the pixels of its
-// support box into the maintained violation state: O(support box).
+// Add appends shot s at unit dose, accumulates its dose and folds the
+// pixels of its support box into the maintained violation state:
+// O(support box).
 func (e *Eval) Add(s geom.Rect) {
 	e.Shots = append(e.Shots, s)
 	e.partner = append(e.partner, -1)
+	if e.doses != nil {
+		e.doses = append(e.doses, 1)
+	}
 	e.applyShot(s, 1)
 	if e.check {
 		e.crossCheck("Add")
@@ -647,15 +679,20 @@ func (e *Eval) Add(s geom.Rect) {
 // issue. UndoRemove is the exact inverse of the swap-delete, restoring
 // the original order — but not L-shot pairing: removing a paired shot
 // first splits its pair (restoring the overlap dose), and UndoRemove
-// brings both shots back as independent rectangles.
+// brings both shots back as independent rectangles. Nor does it know
+// the removed shot's dose: s returns at unit dose.
 func (e *Eval) Remove(i int) {
 	if e.partner[i] >= 0 {
 		e.Unpair(i)
 	}
-	s := e.Shots[i]
+	s, d := e.Shots[i], e.ShotDose(i)
 	last := len(e.Shots) - 1
 	e.Shots[i] = e.Shots[last]
 	e.Shots = e.Shots[:last]
+	if e.doses != nil {
+		e.doses[i] = e.doses[last]
+		e.doses = e.doses[:last]
+	}
 	// swap-delete the partner slot too, redirecting the moved shot's
 	// partner (never i itself: i was just unpaired)
 	e.partner[i] = e.partner[last]
@@ -665,7 +702,7 @@ func (e *Eval) Remove(i int) {
 			e.partner[p] = i
 		}
 	}
-	e.applyShot(s, -1)
+	e.applyShot(s, -d)
 	if e.check {
 		e.crossCheck("Remove")
 	}
@@ -678,20 +715,23 @@ func (e *Eval) Remove(i int) {
 // damage, and back out.
 func (e *Eval) UndoRemove(i int, s geom.Rect) {
 	if i < len(e.Shots) {
-		displaced := e.Shots[i]
+		displaced, d := e.Shots[i], e.ShotDose(i)
+		e.SetShotDose(i, 1)
 		e.SetShot(i, s)
 		e.Add(displaced)
+		e.SetShotDose(len(e.Shots)-1, d)
 	} else {
 		// the removed shot was the last one; no swap happened
 		e.Add(s)
 	}
 }
 
-// applyShot commits adding (sign=+1) or removing (sign=−1) shot s:
-// the constrained pixels of the shot's support box are retired from
-// the maintained stats, the dose update runs through the model's
-// separable accumulation, and the pixels are restored against the new
-// dose.
+// applyShot commits adding sign × I_s to the dose: sign is +1 or −1 to
+// add or remove a unit-dose shot, and carries the dose multiplier (or
+// its change) otherwise. The constrained pixels of the shot's support
+// box are retired from the maintained stats, the dose update runs
+// through the model's separable accumulation, and the pixels are
+// restored against the new dose.
 func (e *Eval) applyShot(s geom.Rect, sign float64) {
 	i0, j0, i1, j1 := e.P.Model.SupportBox(e.P.Grid, s)
 	if i1 < i0 || j1 < j0 {
@@ -786,7 +826,7 @@ func (e *Eval) SetShot(i int, s geom.Rect) {
 		return
 	}
 	e.Shots[i] = s
-	e.moveScan(old, s, true)
+	e.moveScan(old, s, e.ShotDose(i), true)
 	if j := e.partner[i]; j >= 0 {
 		oOld := pairOverlap(old, e.Shots[j])
 		oNew := pairOverlap(s, e.Shots[j])
@@ -799,7 +839,7 @@ func (e *Eval) SetShot(i int, s geom.Rect) {
 			case oNew == (geom.Rect{}):
 				e.applyShot(oOld, 1)
 			default:
-				e.moveScan(oNew, oOld, true) // dose += I_oOld − I_oNew
+				e.moveScan(oNew, oOld, 1, true) // dose += I_oOld − I_oNew
 			}
 		}
 	}
@@ -878,7 +918,7 @@ func (e *Eval) crossCheck(op string) {
 		math.Abs(own.Cost-e.stats.Cost) > tol {
 		panic(fmt.Sprintf("cover: %s cross-check: maintained %+v != dose scan %+v", op, e.stats, own))
 	}
-	scratch := p.EvaluatePaired(e.Shots, e.Pairs())
+	scratch := p.evaluate(e.Shots, e.Pairs(), e.doses)
 	if scratch.FailOn != e.stats.FailOn || scratch.FailOff != e.stats.FailOff ||
 		math.Abs(scratch.Cost-e.stats.Cost) > tol {
 		panic(fmt.Sprintf("cover: %s cross-check: maintained %+v != from-scratch %+v", op, e.stats, scratch))
@@ -909,47 +949,99 @@ func (e *Eval) DeltaCost(i int, repl geom.Rect) float64 {
 			return e.pairedMoveDelta(old, repl, oOld, oNew)
 		}
 	}
-	return e.moveScan(old, repl, false)
+	return e.moveScan(old, repl, e.ShotDose(i), false)
 }
 
 // edgeTables sizes the scratch tables for nc components over an
 // nx × ny union box, reusing the evaluator's backing buffer (grown
 // through the arena so a closed evaluator donates it back).
 func (e *Eval) edgeTables(nc, nx, ny int) *edgeTabs {
-	need := 2 * nc * (nx + ny)
-	if cap(e.buf) < need {
-		if a := e.arena; a != nil {
-			a.putF32(e.buf)
-			e.buf = a.getF32(need)
-		} else {
-			e.buf = make([]float32, need)
-		}
-	}
-	buf := e.buf[:need]
-	carve := func(n int) []float32 {
-		s := buf[:n:n]
-		buf = buf[n:]
-		return s
-	}
+	buf := e.scratch(2 * nc * (nx + ny))
 	for c := 0; c < nc; c++ {
-		e.tab.exOld[c] = carve(nx)
-		e.tab.exNew[c] = carve(nx)
-		e.tab.eyOld[c] = carve(ny)
-		e.tab.eyNew[c] = carve(ny)
+		e.tab.exOld[c] = carve(&buf, nx)
+		e.tab.exNew[c] = carve(&buf, nx)
+		e.tab.eyOld[c] = carve(&buf, ny)
+		e.tab.eyNew[c] = carve(&buf, ny)
 	}
 	return &e.tab
 }
 
+// scratch returns the evaluator's float32 table buffer resliced to n
+// values, grown through the arena so a closed evaluator donates it
+// back.
+func (e *Eval) scratch(n int) []float32 {
+	if cap(e.buf) < n {
+		if a := e.arena; a != nil {
+			a.putF32(e.buf)
+			e.buf = a.getF32(n)
+		} else {
+			e.buf = make([]float32, n)
+		}
+	}
+	return e.buf[:n]
+}
+
+// carve splits the first n values off *buf.
+func carve(buf *[]float32, n int) []float32 {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
+}
+
+// ShotRows streams the dose a prospective unit-dose shot s would add,
+// one grid row of its support box at a time: fn(j, i0, row) receives
+// row j with row[i] the intensity at pixel (i0+i, j). The values come
+// from the same float32 strip tables a committed Add accumulates, held
+// with the row in the evaluator's reused buffers, so candidate scorers
+// allocate nothing per candidate. fn must not retain row; the
+// evaluator is not modified.
+func (e *Eval) ShotRows(s geom.Rect, fn func(j, i0 int, row []float64)) {
+	p := e.P
+	g := p.Grid
+	model := p.Model
+	i0, j0, i1, j1 := model.SupportBox(g, s)
+	if i1 < i0 || j1 < j0 {
+		return
+	}
+	nx := i1 - i0 + 1
+	nc := model.Components()
+	tab := e.edgeTables(nc, nx, j1-j0+1)
+	for c := 0; c < nc; c++ {
+		model.EdgeProfiles32(tab.exNew[c], c, g.X0, g.Pitch, i0, s.X0, s.X1)
+		model.EdgeProfiles32(tab.eyNew[c], c, g.Y0, g.Pitch, j0, s.Y0, s.Y1)
+	}
+	if cap(e.row) < nx {
+		e.row = make([]float64, nx)
+	}
+	row := e.row[:nx]
+	for j := j0; j <= j1; j++ {
+		for c := 0; c < nc; c++ {
+			rowW := model.Weight(c) * float64(tab.eyNew[c][j-j0])
+			ex := tab.exNew[c][:nx]
+			if c == 0 {
+				for i := range row {
+					row[i] = rowW * float64(ex[i])
+				}
+			} else {
+				for i := range row {
+					row[i] += rowW * float64(ex[i])
+				}
+			}
+		}
+		fn(j, i0, row)
+	}
+}
+
 // moveScan is the shared strip scanner behind DeltaCost and SetShot: it
-// visits the pixels whose dose the replacement old → repl changes — the
-// changed-interval strips intersected with the union support box — and
-// either scores the Eq. 5 cost change (commit=false, don't-care band
-// skipped) or commits it (commit=true, dose written and the maintained
-// stats/bitmaps retired-and-restored per pixel; band pixels still get
-// their dose update). Pixels outside the strips keep their dose
+// visits the pixels whose dose the replacement old → repl of a shot at
+// multiplier dose changes — the changed-interval strips intersected
+// with the union support box — and either scores the Eq. 5 cost change
+// (commit=false, don't-care band skipped) or commits it (commit=true,
+// dose written and the maintained stats/bitmaps retired-and-restored
+// per pixel; band pixels still get their dose update). Pixels outside the strips keep their dose
 // bit-for-bit: beyond the padded interval both edge profiles clamp to
 // identical values, so dI is exactly zero there.
-func (e *Eval) moveScan(old, repl geom.Rect, commit bool) float64 {
+func (e *Eval) moveScan(old, repl geom.Rect, dose float64, commit bool) float64 {
 	p := e.P
 	g := p.Grid
 	model := p.Model
@@ -985,9 +1077,11 @@ func (e *Eval) moveScan(old, repl geom.Rect, commit bool) float64 {
 	}
 	exO0, exN0 := tab.exOld[0], tab.exNew[0]
 	exO1, exN1 := tab.exOld[1], tab.exNew[1]
-	w0, w1 := model.Weight(0), 0.0
+	// the dose folds into the component weights: one multiply per
+	// call, and exactly the unit-dose weights when dose is 1
+	w0, w1 := dose*model.Weight(0), 0.0
 	if nc == 2 {
-		w1 = model.Weight(1)
+		w1 = dose * model.Weight(1)
 	}
 
 	rho := p.Params.Rho

@@ -41,7 +41,7 @@ func checkAgainstScratch(t *testing.T, e *Eval, context string) {
 	t.Helper()
 	p := e.P
 	st := e.stats
-	scratch := p.Evaluate(e.SnapshotShots())
+	scratch := p.evaluate(e.SnapshotShots(), nil, e.doses)
 	if st.FailOn != scratch.FailOn || st.FailOff != scratch.FailOff {
 		t.Fatalf("%s: maintained fail counts %d/%d != from-scratch %d/%d",
 			context, st.FailOn, st.FailOff, scratch.FailOn, scratch.FailOff)
@@ -66,40 +66,76 @@ func checkAgainstScratch(t *testing.T, e *Eval, context string) {
 // TestEvalPropertyIncrementalMatchesScratch drives random
 // Add/Remove/SetShot/ApplyDelta sequences and asserts after every
 // sequence that the incrementally maintained Stats and FailingBitmaps
-// equal Problem.Evaluate from scratch, on both proximity models. With
-// 60 sequences per model this covers 120 random mutation sequences.
+// equal a from-scratch evaluation, on both proximity models. The
+// "dosed" input mixes in per-shot dose steps — add-at-dose and
+// score-then-commit SetShotDose — so Remove, SetShot and ApplyDelta
+// also run on dosed shots, with the cross-check asserting after every
+// mutation (on the paper's model: the cross-check's from-scratch
+// evaluations make the two-Gaussian grid too slow under -race;
+// TestEvalCrossCheckMode covers dosed shots there). With 60 sequences per
+// input this covers 180 random mutation sequences.
 func TestEvalPropertyIncrementalMatchesScratch(t *testing.T) {
 	const side = 60.0
 	// also verify every float32 strip-kernel fill the sequences trigger
 	// against the float64 reference (panics with the first diverging
 	// strip coordinate if EdgeProfiles32 drifts past ProfileTol32)
 	defer ebeam.SetProfileCheck(ebeam.SetProfileCheck(true))
+	type input struct {
+		params Params
+		dosed  bool
+	}
+	inputs := map[string]input{"dosed": {propParams()["single"], true}}
 	for name, params := range propParams() {
+		inputs[name] = input{params, false}
+	}
+	for name, in := range inputs {
 		t.Run(name, func(t *testing.T) {
-			p, err := NewProblem(square(side), params)
+			p, err := NewProblem(square(side), in.params)
 			if err != nil {
 				t.Fatal(err)
+			}
+			ops := 10
+			if in.dosed {
+				ops = 13
 			}
 			for seq := 0; seq < 60; seq++ {
 				rng := rand.New(rand.NewSource(int64(1000 + seq)))
 				e := NewEval(p, []geom.Rect{randShot(rng, p, side)})
+				if in.dosed {
+					e.SetCrossCheck(true)
+				}
 				for op := 0; op < 40; op++ {
-					switch choice := rng.Intn(10); {
+					switch choice := rng.Intn(ops); {
 					case choice < 4 || len(e.Shots) == 0: // Add
 						e.Add(randShot(rng, p, side))
 					case choice < 6: // Remove
 						e.Remove(rng.Intn(len(e.Shots)))
 					case choice < 8: // SetShot
 						e.SetShot(rng.Intn(len(e.Shots)), randShot(rng, p, side))
-					default: // score-then-commit via ApplyDelta
+					case choice < 10: // score-then-commit via ApplyDelta
 						i := rng.Intn(len(e.Shots))
 						nr := e.Shots[i]
 						nr.X1 += p.Params.Pitch * float64(1+rng.Intn(3))
 						delta := e.DeltaCost(i, nr)
 						e.ApplyDelta(i, nr, delta)
+					case choice < 11: // add at dose
+						e.Add(randShot(rng, p, side))
+						e.SetShotDose(len(e.Shots)-1, 0.5+rng.Float64())
+					default: // score-then-commit SetShotDose
+						i := rng.Intn(len(e.Shots))
+						d := 0.5 + rng.Float64()
+						before := e.Stats().Cost
+						delta := e.ShotDoseDelta(i, d)
+						e.SetShotDose(i, d)
+						if after := e.Stats(); after.Fail() > 0 {
+							if got := after.Cost - before; math.Abs(got-delta) > costTol+1e-9*math.Abs(before) {
+								t.Fatalf("seq %d op %d: ShotDoseDelta scored %g, realized %g", seq, op, delta, got)
+							}
+						}
 					}
 				}
 				checkAgainstScratch(t, e, name)
+				e.Close()
 			}
 		})
 	}
@@ -107,7 +143,8 @@ func TestEvalPropertyIncrementalMatchesScratch(t *testing.T) {
 
 // TestEvalCrossCheckMode exercises the debug cross-check path: with
 // SetCrossCheck(true) every mutation self-verifies against the dose
-// field and a from-scratch evaluation, panicking on divergence.
+// field and a from-scratch evaluation, panicking on divergence. Both
+// proximity models run it, on unit-dose and on dosed shots.
 func TestEvalCrossCheckMode(t *testing.T) {
 	for name, params := range propParams() {
 		p, err := NewProblem(square(40), params)
@@ -119,6 +156,11 @@ func TestEvalCrossCheckMode(t *testing.T) {
 		e.SetCrossCheck(true)
 		e.Add(geom.Rect{X0: 0, Y0: 0, X1: 40, Y1: 40})
 		e.Add(randShot(rng, p, 40))
+		e.SetShot(1, randShot(rng, p, 40))
+		// the rest runs on dosed shots: the strip scanners must fold
+		// the dose into every component's weight
+		e.SetShotDose(0, 0.8)
+		e.SetShotDose(1, 1.3)
 		e.SetShot(1, randShot(rng, p, 40))
 		delta := e.DeltaCost(0, geom.Rect{X0: 1, Y0: 0, X1: 40, Y1: 40})
 		e.ApplyDelta(0, geom.Rect{X0: 1, Y0: 0, X1: 40, Y1: 40}, delta)

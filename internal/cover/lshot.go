@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"maskfrac/internal/geom"
-	"maskfrac/internal/raster"
 )
 
 // pairOverlap returns the positive-area intersection of two paired
@@ -107,17 +106,13 @@ func (e *Eval) Pairs() [][2]int {
 // Pair merges shots i and j into one L-shot: both keep their slots in
 // the shot list, but their doses are corrected by subtracting the
 // overlap term so the pair delivers exactly the dose of the single
-// L-aperture flash over their union. Pair panics if i == j or either
-// shot is already paired. The caller is responsible for geometric
+// L-aperture flash over their union. Pair panics if i == j, either
+// shot is already paired, or either carries a non-unit dose (an L-shot
+// is one flash at one dose). The caller is responsible for geometric
 // L-compatibility (see UnionIsLShot); the dose bookkeeping itself is
 // valid for any two rectangles. O(overlap support box).
 func (e *Eval) Pair(i, j int) {
-	if i == j {
-		panic("cover: Pair(i, i)")
-	}
-	if e.partner[i] >= 0 || e.partner[j] >= 0 {
-		panic(fmt.Sprintf("cover: Pair(%d, %d): shot already paired", i, j))
-	}
+	e.checkPairable("Pair", i, j)
 	e.partner[i], e.partner[j] = j, i
 	if o := pairOverlap(e.Shots[i], e.Shots[j]); o != (geom.Rect{}) {
 		e.applyShot(o, -1)
@@ -126,6 +121,20 @@ func (e *Eval) Pair(i, j int) {
 	}
 	if e.check {
 		e.crossCheck("Pair")
+	}
+}
+
+// checkPairable panics unless shots i and j can merge into one
+// L-shot: distinct, both unpaired, both at unit dose.
+func (e *Eval) checkPairable(op string, i, j int) {
+	if i == j {
+		panic(fmt.Sprintf("cover: %s(%d, %d): same shot", op, i, j))
+	}
+	if e.partner[i] >= 0 || e.partner[j] >= 0 {
+		panic(fmt.Sprintf("cover: %s(%d, %d): shot already paired", op, i, j))
+	}
+	if e.ShotDose(i) != 1 || e.ShotDose(j) != 1 {
+		panic(fmt.Sprintf("cover: %s(%d, %d): shot at non-unit dose", op, i, j))
 	}
 }
 
@@ -152,12 +161,7 @@ func (e *Eval) Unpair(i int) {
 // paired, without modifying the evaluator — the scoring counterpart of
 // Pair. Panics under the same conditions as Pair.
 func (e *Eval) PairDelta(i, j int) float64 {
-	if i == j {
-		panic("cover: PairDelta(i, i)")
-	}
-	if e.partner[i] >= 0 || e.partner[j] >= 0 {
-		panic(fmt.Sprintf("cover: PairDelta(%d, %d): shot already paired", i, j))
-	}
+	e.checkPairable("PairDelta", i, j)
 	e.Evals++
 	o := pairOverlap(e.Shots[i], e.Shots[j])
 	if o == (geom.Rect{}) {
@@ -184,12 +188,14 @@ func (e *Eval) UnpairDelta(i int) float64 {
 
 // ResetPaired replaces the entire configuration with the given shots
 // and L-shot pairs and rebuilds dose and violation state from scratch,
-// the paired counterpart of Reset. Each pairs element is an {i, j}
-// index pair into shots; indices must be distinct across pairs.
+// the paired counterpart of Reset; like Reset it clears per-shot
+// doses. Each pairs element is an {i, j} index pair into shots;
+// indices must be distinct across pairs.
 func (e *Eval) ResetPaired(shots []geom.Rect, pairs [][2]int) {
 	clear(e.Dose.V)
 	e.Shots = append(e.Shots[:0], shots...)
 	e.resetPartners(len(shots))
+	e.doses = nil
 	for _, s := range e.Shots {
 		e.accBuf = e.P.Model.AccumulateShotBuf(e.Dose, s, 1, e.accBuf)
 	}
@@ -227,24 +233,7 @@ func (e *Eval) resetPartners(n int) {
 // from-scratch reference the paired evaluator's cross-check mode
 // asserts against. With no pairs it is exactly Evaluate.
 func (p *Problem) EvaluatePaired(shots []geom.Rect, pairs [][2]int) Stats {
-	if len(pairs) == 0 {
-		return p.Evaluate(shots)
-	}
-	a := p.Arena()
-	dose := raster.Field{Grid: p.Grid, V: a.getF64(p.Grid.Len())}
-	scratch := a.getF32(0)
-	for _, s := range shots {
-		scratch = p.Model.AccumulateShotBuf(&dose, s, 1, scratch)
-	}
-	for _, pr := range pairs {
-		if o := pairOverlap(shots[pr[0]], shots[pr[1]]); o != (geom.Rect{}) {
-			scratch = p.Model.AccumulateShotBuf(&dose, o, -1, scratch)
-		}
-	}
-	st := p.statsOf(&dose)
-	a.putF32(scratch)
-	a.putF64(dose.V)
-	return st
+	return p.evaluate(shots, pairs, nil)
 }
 
 // doseTerm is one signed rectangle term of a multi-term dose change.
@@ -289,28 +278,12 @@ func (e *Eval) termScan(terms []doseTerm) float64 {
 	nc := model.Components()
 	nt := len(terms)
 
-	need := nt * nc * (nx + ny)
-	buf := e.buf
-	if cap(buf) < need {
-		if a := e.arena; a != nil {
-			a.putF32(buf)
-			buf = a.getF32(need)
-		} else {
-			buf = make([]float32, need)
-		}
-		e.buf = buf
-	}
-	buf = buf[:need]
-	carve := func(n int) []float32 {
-		s := buf[:n:n]
-		buf = buf[n:]
-		return s
-	}
+	buf := e.scratch(nt * nc * (nx + ny))
 	var ex, ey [termScanMaxTerms][2][]float32
 	for t := 0; t < nt; t++ {
 		for c := 0; c < nc; c++ {
-			ex[t][c] = carve(nx)
-			ey[t][c] = carve(ny)
+			ex[t][c] = carve(&buf, nx)
+			ey[t][c] = carve(&buf, ny)
 			model.EdgeProfiles32(ex[t][c], c, g.X0, g.Pitch, ui0, terms[t].r.X0, terms[t].r.X1)
 			model.EdgeProfiles32(ey[t][c], c, g.Y0, g.Pitch, uj0, terms[t].r.Y0, terms[t].r.Y1)
 		}

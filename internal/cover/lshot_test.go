@@ -45,6 +45,37 @@ func TestUnionIsLShot(t *testing.T) {
 	}
 }
 
+// TestUnionIsLShotPartitionPairs pins the predicate on rectangle pairs
+// as a partition produces them for the "lshape" method: flush pairs
+// form an L exactly when the shared boundary aligns at exactly one end
+// and spans the shorter side.
+func TestUnionIsLShotPartitionPairs(t *testing.T) {
+	base := geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: 4}
+	cases := []struct {
+		name string
+		b    geom.Rect
+		want bool
+	}{
+		{"L: right of base, bottom aligned, shorter", geom.Rect{X0: 10, Y0: 0, X1: 14, Y1: 2}, true},
+		{"L: above base, left aligned", geom.Rect{X0: 0, Y0: 4, X1: 4, Y1: 10}, true},
+		{"rect: full side both ends aligned", geom.Rect{X0: 10, Y0: 0, X1: 14, Y1: 4}, false},
+		{"T: centered, no end aligned", geom.Rect{X0: 10, Y0: 1, X1: 14, Y1: 3}, false},
+		{"Z: partial overlap", geom.Rect{X0: 10, Y0: 2, X1: 14, Y1: 6}, false},
+		{"corner touch only", geom.Rect{X0: 10, Y0: 4, X1: 14, Y1: 8}, false},
+		{"disjoint", geom.Rect{X0: 20, Y0: 0, X1: 24, Y1: 4}, false},
+		{"overlapping", geom.Rect{X0: 5, Y0: 0, X1: 14, Y1: 4}, false},
+		{"sticking beyond, one end aligned", geom.Rect{X0: 10, Y0: 0, X1: 14, Y1: 8}, true},
+	}
+	for _, tc := range cases {
+		if got := UnionIsLShot(base, tc.b); got != tc.want {
+			t.Errorf("%s: UnionIsLShot = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := UnionIsLShot(tc.b, base); got != tc.want {
+			t.Errorf("%s (swapped): UnionIsLShot = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // checkAgainstScratchPaired asserts the maintained violation state of a
 // (possibly L-paired) evaluator equals a from-scratch EvaluatePaired of
 // its configuration, and that the partner table is symmetric.
@@ -264,4 +295,60 @@ func TestEvalPairBookkeeping(t *testing.T) {
 		t.Fatalf("Reset kept %d pairs, want 0", e.PairCount())
 	}
 	e.Close()
+}
+
+// TestShotDoseRejectsPairing pins the one-flash-one-dose rule: a shot
+// at non-unit dose cannot join an L-shot, and an L-shot arm cannot
+// leave unit dose.
+func TestShotDoseRejectsPairing(t *testing.T) {
+	p := mustProblem(t, square(40))
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewEval(p, []geom.Rect{{X0: 0, Y0: 0, X1: 40, Y1: 10}, {X0: 0, Y0: 10, X1: 10, Y1: 40}})
+	e.SetShotDose(0, 1.2)
+	mustPanic("Pair of a dosed shot", func() { e.Pair(0, 1) })
+	mustPanic("PairDelta of a dosed shot", func() { e.PairDelta(1, 0) })
+	e.SetShotDose(0, 1)
+	e.Pair(0, 1)
+	mustPanic("SetShotDose on a paired shot", func() { e.SetShotDose(1, 0.9) })
+	mustPanic("ShotDoseDelta on a paired shot", func() { e.ShotDoseDelta(0, 0.9) })
+	e.SetShotDose(1, 1) // unit dose stays legal
+	if e.FlashCount() != 1 {
+		t.Errorf("FlashCount = %d, want 1", e.FlashCount())
+	}
+}
+
+// TestShotRowsMatchesShotIntensity checks the candidate-scoring rows
+// against the float64 reference intensity on both proximity models.
+func TestShotRowsMatchesShotIntensity(t *testing.T) {
+	for name, params := range propParams() {
+		p, err := NewProblem(square(40), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEval(p, nil)
+		s := geom.Rect{X0: 3.5, Y0: -2, X1: 31, Y1: 27.25}
+		g := p.Grid
+		rows := 0
+		e.ShotRows(s, func(j, i0 int, row []float64) {
+			rows++
+			for i, got := range row {
+				want := p.Model.ShotIntensity(s, g.Center(i0+i, j))
+				if math.Abs(got-want) > 2*ebeam.ProfileTol32 {
+					t.Fatalf("%s: pixel (%d, %d): row %g, ShotIntensity %g", name, i0+i, j, got, want)
+				}
+			}
+		})
+		if _, j0, _, j1 := p.Model.SupportBox(g, s); rows != j1-j0+1 {
+			t.Errorf("%s: %d rows, want %d", name, rows, j1-j0+1)
+		}
+		e.Close()
+	}
 }

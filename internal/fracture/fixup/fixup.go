@@ -43,24 +43,19 @@ func GreedyCover(p *cover.Problem, e *cover.Eval, cands []geom.Rect, offPenalty 
 
 // ScoreCandidate estimates the net benefit of adding candidate c:
 // failing interior pixels the shot would fix, minus a penalty for
-// exterior pixels it would push over the threshold.
+// exterior pixels it would push over the threshold. The shot's
+// intensity streams from the evaluator's strip tables (Eval.ShotRows),
+// so scoring allocates nothing.
 func ScoreCandidate(p *cover.Problem, e *cover.Eval, failOn *raster.Bitmap, c geom.Rect, offPenalty float64) float64 {
 	g := p.Grid
-	i0, j0, i1, j1 := p.Model.SupportBox(g, c)
-	fixed, broken := 0, 0
 	rho := p.Params.Rho
-	for j := j0; j <= j1; j++ {
-		y := g.Y0 + (float64(j)+0.5)*g.Pitch
-		base := j * g.W
-		for i := i0; i <= i1; i++ {
+	fixed, broken := 0, 0
+	e.ShotRows(c, func(j, i0 int, row []float64) {
+		base := j*g.W + i0
+		for i, inc := range row {
 			k := base + i
 			cls := p.Class[k]
-			if cls == cover.Band {
-				continue
-			}
-			x := g.X0 + (float64(i)+0.5)*g.Pitch
-			inc := p.Model.ShotIntensity(c, geom.Pt(x, y))
-			if inc < 1e-4 {
+			if cls == cover.Band || inc < 1e-4 {
 				continue
 			}
 			v := e.Dose.V[k]
@@ -75,7 +70,7 @@ func ScoreCandidate(p *cover.Problem, e *cover.Eval, failOn *raster.Bitmap, c ge
 				}
 			}
 		}
-	}
+	})
 	return float64(fixed) - offPenalty*float64(broken)
 }
 

@@ -17,10 +17,13 @@ package mbf
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 
 	"maskfrac/internal/cover"
+	"maskfrac/internal/fracture/engine"
+	"maskfrac/internal/fracture/partition"
 	"maskfrac/internal/geom"
 	"maskfrac/internal/graphx"
 	"maskfrac/internal/telemetry"
@@ -275,6 +278,46 @@ func coordOf(r geom.Rect, s side) float64 {
 	default:
 		return r.Y1
 	}
+}
+
+// lshapePitch is the rectilinearization pitch of the "lshape" method:
+// curvilinear targets staircase on a 4 nm fracture grid, as a
+// conventional fracture tool would.
+const lshapePitch = 4
+
+// lshapeFracture is L-shape based layout fracturing (Yu, Gao & Pan,
+// the paper's reference [20]): a minimum rectangle partition of the
+// target whose L-compatible piece pairs are matched by matchLPairs,
+// each pair written as one L-shaped flash. Partition pieces are
+// interior-disjoint, so every pair is flush: it has no overlap term
+// and pairing leaves the dose untouched — no snapping or repair is
+// needed, and there is no proximity compensation either.
+func lshapeFracture(p *cover.Problem) (*engine.Solution, error) {
+	rects, err := partition.Pieces(p, lshapePitch)
+	if err != nil {
+		return nil, fmt.Errorf("lshape: %w", err)
+	}
+	return &engine.Solution{Shots: rects, Pairs: pairRects(rects)}, nil
+}
+
+// pairRects returns a maximum set of disjoint L-compatible rectangle
+// pairs, as {i, j} index pairs sorted by (i, j), taking the rectangles
+// as they are (no snapping).
+func pairRects(rects []geom.Rect) [][2]int {
+	var cands []lCand
+	for i := range rects {
+		for j := i + 1; j < len(rects); j++ {
+			if cover.UnionIsLShot(rects[i], rects[j]) {
+				cands = append(cands, lCand{i: i, j: j})
+			}
+		}
+	}
+	matched, _ := matchLPairs(cands, len(rects))
+	var pairs [][2]int
+	for _, c := range matched {
+		pairs = append(pairs, [2]int{c.i, c.j})
+	}
+	return pairs
 }
 
 // lCandidates enumerates the L-compatible shot pairs, in ascending

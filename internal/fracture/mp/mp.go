@@ -7,7 +7,8 @@
 // as a sum of shot atoms. Each iteration picks the dictionary shot with
 // the highest normalized correlation against the current residual
 // (computed with a summed-area table over the candidate rectangle) and
-// subtracts the shot's exact blurred intensity from the residual.
+// adds the shot to the evaluator, whose dose field the residual is read
+// against.
 package mp
 
 import (
@@ -42,19 +43,11 @@ func Fracture(p *cover.Problem, opt Options) *Result {
 	}
 	cands := shotdict.Rich(p, 24, 0.55)
 	g := p.Grid
-	// residual = desired dose − current dose; desired is the full-dose
-	// indicator of the target
-	res := raster.NewField(g)
-	for k, in := range p.Inside.Bits {
-		if in {
-			res.V[k] = 1
-		}
-	}
 	e := cover.NewEval(p, nil)
 	defer e.Close()
 	sat := make([]float64, (g.W+1)*(g.H+1))
 	for len(e.Shots) < opt.MaxShots {
-		buildSAT(res, sat)
+		buildSAT(p.Inside, e.Dose, sat)
 		best, bestScore := geom.Rect{}, opt.MinCorr
 		for _, c := range cands {
 			s := boxSum(g, sat, c)
@@ -72,7 +65,6 @@ func Fracture(p *cover.Problem, opt Options) *Result {
 			break
 		}
 		e.Add(best)
-		p.Model.AccumulateShot(res, best, -1)
 		if st := e.Stats(); st.Fail() == 0 {
 			break
 		}
@@ -92,10 +84,12 @@ func Fracture(p *cover.Problem, opt Options) *Result {
 	return &Result{Shots: e.SnapshotShots(), Stats: e.Stats()}
 }
 
-// buildSAT fills sat with the summed-area table of f: sat[(j)*(W+1)+i]
-// is the sum over pixels with coordinates < (i, j).
-func buildSAT(f *raster.Field, sat []float64) {
-	g := f.Grid
+// buildSAT fills sat with the summed-area table of the residual
+// inside − dose (the desired full-dose indicator of the target minus
+// the current dose): sat[(j)*(W+1)+i] is the sum over pixels with
+// coordinates < (i, j).
+func buildSAT(inside *raster.Bitmap, dose *raster.Field, sat []float64) {
+	g := dose.Grid
 	w := g.W + 1
 	for i := 0; i < w; i++ {
 		sat[i] = 0
@@ -103,7 +97,12 @@ func buildSAT(f *raster.Field, sat []float64) {
 	for j := 0; j < g.H; j++ {
 		rowSum := 0.0
 		for i := 0; i < g.W; i++ {
-			rowSum += f.V[j*g.W+i]
+			k := j*g.W + i
+			r := -dose.V[k]
+			if inside.Bits[k] {
+				r = 1 - dose.V[k]
+			}
+			rowSum += r
 			sat[(j+1)*w+i+1] = sat[j*w+i+1] + rowSum
 		}
 		sat[(j+1)*w] = 0

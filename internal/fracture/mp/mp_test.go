@@ -53,6 +53,16 @@ func TestMaxShotsCap(t *testing.T) {
 	}
 }
 
+// negated returns the dose field whose residual against an empty
+// interior is f.
+func negated(f *raster.Field) *raster.Field {
+	d := raster.NewField(f.Grid)
+	for k, v := range f.V {
+		d.V[k] = -v
+	}
+	return d
+}
+
 func TestBuildSATAndBoxSum(t *testing.T) {
 	g := raster.Grid{Pitch: 1, W: 4, H: 3}
 	f := raster.NewField(g)
@@ -61,7 +71,7 @@ func TestBuildSATAndBoxSum(t *testing.T) {
 		f.V[k] = float64(k + 1)
 	}
 	sat := make([]float64, (g.W+1)*(g.H+1))
-	buildSAT(f, sat)
+	buildSAT(raster.NewBitmap(g), negated(f), sat)
 	// full sum = 78
 	if got := boxSum(g, sat, geom.Rect{X0: 0, Y0: 0, X1: 4, Y1: 3}); got != 78 {
 		t.Errorf("full sum = %v", got)
@@ -87,7 +97,7 @@ func TestBoxSumMatchesBrute(t *testing.T) {
 		f.V[k] = math.Sin(float64(k))
 	}
 	sat := make([]float64, (g.W+1)*(g.H+1))
-	buildSAT(f, sat)
+	buildSAT(raster.NewBitmap(g), negated(f), sat)
 	for _, r := range []geom.Rect{
 		{X0: 1, Y0: 2, X1: 5, Y1: 6},
 		{X0: 0, Y0: 0, X1: 9, Y1: 1},

@@ -15,7 +15,7 @@ import (
 // no overlap and no proximity compensation.
 func init() {
 	engine.Register("partition", func(_ context.Context, p *cover.Problem, _ engine.Options) (*engine.Solution, error) {
-		shots, err := solveProblem(p)
+		shots, err := Pieces(p, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -23,10 +23,13 @@ func init() {
 	})
 }
 
-// solveProblem partitions every target of the instance. Rectilinear
-// targets partition directly; otherwise the rasterized instance is
-// rectilinearized at the pixel pitch and its outer contours partition.
-func solveProblem(p *cover.Problem) ([]geom.Rect, error) {
+// Pieces partitions every target of the instance into a minimum set of
+// rectangles. Rectilinear targets partition directly; otherwise the
+// instance is rectilinearized on a grid of the given pitch — 0 selects
+// the problem's own sampling grid, a coarser pitch mimics a
+// conventional fracture tool (pixel-level staircasing would explode
+// the count) — and its outer contours partition.
+func Pieces(p *cover.Problem, pitch float64) ([]geom.Rect, error) {
 	allRectilinear := true
 	for _, t := range p.Targets {
 		if !t.IsRectilinear() {
@@ -45,7 +48,22 @@ func solveProblem(p *cover.Problem) ([]geom.Rect, error) {
 		}
 		return shots, nil
 	}
-	for _, pg := range raster.Contours(p.Inside) {
+	bm := p.Inside
+	if pitch > 0 {
+		bm = raster.NewBitmap(raster.GridCovering(p.TargetBounds(), pitch, pitch))
+		for _, t := range p.Targets {
+			one, err := raster.Rasterize(t, bm.Grid)
+			if err != nil {
+				return nil, fmt.Errorf("partition: %w", err)
+			}
+			for k, v := range one.Bits {
+				if v {
+					bm.Bits[k] = true
+				}
+			}
+		}
+	}
+	for _, pg := range raster.Contours(bm) {
 		if !pg.IsCCW() {
 			continue // holes
 		}

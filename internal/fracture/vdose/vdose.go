@@ -6,13 +6,14 @@
 // per Elayat et al. [21]); this package provides the extension as an
 // optional post-pass: starting from any fixed-dose solution, it
 // optimizes per-shot doses greedily and then tries to delete shots
-// whose area the survivors can re-cover by raising their doses.
+// whose area the survivors can re-cover by raising their doses. Doses
+// are scored and committed on cover.Eval's per-shot dose, the same
+// incremental evaluator every fixed-dose heuristic uses.
 package vdose
 
 import (
 	"maskfrac/internal/cover"
 	"maskfrac/internal/geom"
-	"maskfrac/internal/raster"
 )
 
 // Shot is a rectangle exposed at Dose × the nominal dose.
@@ -54,146 +55,64 @@ type Result struct {
 // ShotCount returns the number of shots.
 func (r *Result) ShotCount() int { return len(r.Shots) }
 
-// eval tracks a weighted-dose configuration incrementally.
-type eval struct {
-	p     *cover.Problem
-	shots []Shot
-	dose  *raster.Field
-}
-
-func newEval(p *cover.Problem, shots []Shot) *eval {
-	e := &eval{p: p, dose: raster.NewField(p.Grid)}
-	for _, s := range shots {
-		e.add(s)
+// newEval returns an evaluator holding shots at their doses.
+func newEval(p *cover.Problem, shots []Shot) *cover.Eval {
+	rects := make([]geom.Rect, len(shots))
+	for i, s := range shots {
+		rects[i] = s.Rect
+	}
+	e := cover.NewEval(p, rects)
+	for i, s := range shots {
+		e.SetShotDose(i, s.Dose)
 	}
 	return e
 }
 
-func (e *eval) add(s Shot) {
-	e.shots = append(e.shots, s)
-	e.p.Model.AccumulateShot(e.dose, s.Rect, s.Dose)
-}
-
-func (e *eval) remove(i int) {
-	s := e.shots[i]
-	e.p.Model.AccumulateShot(e.dose, s.Rect, -s.Dose)
-	last := len(e.shots) - 1
-	e.shots[i] = e.shots[last]
-	e.shots = e.shots[:last]
-}
-
-func (e *eval) setDose(i int, d float64) {
-	s := e.shots[i]
-	e.p.Model.AccumulateShot(e.dose, s.Rect, d-s.Dose)
-	e.shots[i].Dose = d
-}
-
-// stats scans the dose field against the problem's pixel classes.
-func (e *eval) stats() cover.Stats {
-	var st cover.Stats
-	rho := e.p.Params.Rho
-	for k, c := range e.p.Class {
-		v := e.dose.V[k]
-		switch c {
-		case cover.On:
-			if v < rho {
-				st.FailOn++
-				st.Cost += rho - v
-			}
-		case cover.Off:
-			if v >= rho {
-				st.FailOff++
-				st.Cost += v - rho
-			}
-		}
+// shotsOf returns the evaluator's shots with their doses.
+func shotsOf(e *cover.Eval) []Shot {
+	out := make([]Shot, len(e.Shots))
+	for i, r := range e.Shots {
+		out[i] = Shot{Rect: r, Dose: e.ShotDose(i)}
 	}
-	return st
-}
-
-// doseDelta returns the cost change of setting shot i's dose to d,
-// scanning only the shot's support box.
-func (e *eval) doseDelta(i int, d float64) float64 {
-	s := e.shots[i]
-	dd := d - s.Dose
-	if dd == 0 {
-		return 0
-	}
-	p := e.p
-	g := p.Grid
-	i0, j0, i1, j1 := p.Model.SupportBox(g, s.Rect)
-	rho := p.Params.Rho
-	delta := 0.0
-	for j := j0; j <= j1; j++ {
-		y := g.Y0 + (float64(j)+0.5)*g.Pitch
-		base := j * g.W
-		for i2 := i0; i2 <= i1; i2++ {
-			k := base + i2
-			cls := p.Class[k]
-			if cls == cover.Band {
-				continue
-			}
-			x := g.X0 + (float64(i2)+0.5)*g.Pitch
-			inc := dd * p.Model.ShotIntensity(s.Rect, geom.Pt(x, y))
-			if inc == 0 {
-				continue
-			}
-			v := e.dose.V[k]
-			nv := v + inc
-			switch cls {
-			case cover.On:
-				delta += costOn(nv, rho) - costOn(v, rho)
-			case cover.Off:
-				delta += costOff(nv, rho) - costOff(v, rho)
-			}
-		}
-	}
-	return delta
-}
-
-func costOn(v, rho float64) float64 {
-	if v < rho {
-		return rho - v
-	}
-	return 0
-}
-
-func costOff(v, rho float64) float64 {
-	if v >= rho {
-		return v - rho
-	}
-	return 0
+	return out
 }
 
 // Optimize assigns per-shot doses to a fixed-dose shot list, greedily
 // stepping each shot's dose by ±Step while the Eq. 5 cost decreases.
 func Optimize(p *cover.Problem, rects []geom.Rect, opt Options) *Result {
-	opt = opt.withDefaults()
 	shots := make([]Shot, len(rects))
 	for i, r := range rects {
 		shots[i] = Shot{Rect: r, Dose: 1}
 	}
+	out, st := optimized(p, shots, opt.withDefaults())
+	return &Result{Shots: out, Stats: st}
+}
+
+// optimized returns shots after greedy dose sweeps, with their stats.
+func optimized(p *cover.Problem, shots []Shot, opt Options) ([]Shot, cover.Stats) {
 	e := newEval(p, shots)
+	defer e.Close()
 	optimizeDoses(e, opt)
-	return &Result{Shots: append([]Shot(nil), e.shots...), Stats: e.stats()}
+	return shotsOf(e), e.Stats()
 }
 
 // optimizeDoses runs greedy per-shot dose sweeps on e.
-func optimizeDoses(e *eval, opt Options) {
+func optimizeDoses(e *cover.Eval, opt Options) {
 	for sweep := 0; sweep < opt.Sweeps; sweep++ {
 		improved := false
-		for i := range e.shots {
-			cur := e.shots[i].Dose
+		for i := range e.Shots {
+			cur := e.ShotDose(i)
 			best, bestDelta := cur, -1e-12
 			for _, d := range []float64{cur + opt.Step, cur - opt.Step} {
 				if d < opt.MinDose || d > opt.MaxDose {
 					continue
 				}
-				if delta := e.doseDelta(i, d); delta < bestDelta {
+				if delta := e.ShotDoseDelta(i, d); delta < bestDelta {
 					best, bestDelta = d, delta
 				}
 			}
 			if best != cur {
-				e.setDose(i, best)
+				e.SetShotDose(i, best)
 				improved = true
 			}
 		}
@@ -218,10 +137,8 @@ func Reduce(p *cover.Problem, res *Result, opt Options) *Result {
 			trial := make([]Shot, 0, len(cur)-1)
 			trial = append(trial, cur[:i]...)
 			trial = append(trial, cur[i+1:]...)
-			e := newEval(p, trial)
-			optimizeDoses(e, opt)
-			if e.stats().Fail() <= base {
-				cur = append([]Shot(nil), e.shots...)
+			if shots, st := optimized(p, trial, opt); st.Fail() <= base {
+				cur = shots
 				improved = true
 				break
 			}
@@ -231,5 +148,6 @@ func Reduce(p *cover.Problem, res *Result, opt Options) *Result {
 		}
 	}
 	e := newEval(p, cur)
-	return &Result{Shots: cur, Stats: e.stats()}
+	defer e.Close()
+	return &Result{Shots: cur, Stats: e.Stats()}
 }

@@ -52,11 +52,13 @@ func TestEvalIncrementalConsistency(t *testing.T) {
 		{Rect: geom.Rect{X0: 0, Y0: 0, X1: 35, Y1: 60}, Dose: 1.2},
 		{Rect: geom.Rect{X0: 30, Y0: 0, X1: 60, Y1: 60}, Dose: 0.8},
 	})
-	e.setDose(0, 0.9)
-	e.remove(1)
+	defer e.Close()
+	e.SetShotDose(0, 0.9)
+	e.Remove(1)
 	// rebuild from scratch and compare cost
-	fresh := newEval(p, append([]Shot(nil), e.shots...))
-	a, b := e.stats(), fresh.stats()
+	fresh := newEval(p, shotsOf(e))
+	defer fresh.Close()
+	a, b := e.Stats(), fresh.Stats()
 	if math.Abs(a.Cost-b.Cost) > 1e-9 || a.Fail() != b.Fail() {
 		t.Errorf("incremental %+v vs fresh %+v", a, b)
 	}
@@ -65,10 +67,11 @@ func TestEvalIncrementalConsistency(t *testing.T) {
 func TestDoseDeltaMatchesRecompute(t *testing.T) {
 	p := problem(t, squareP(60))
 	e := newEval(p, []Shot{{Rect: geom.Rect{X0: 0, Y0: 0, X1: 60, Y1: 60}, Dose: 1}})
-	before := e.stats().Cost
-	delta := e.doseDelta(0, 1.1)
-	e.setDose(0, 1.1)
-	after := e.stats().Cost
+	defer e.Close()
+	before := e.Stats().Cost
+	delta := e.ShotDoseDelta(0, 1.1)
+	e.SetShotDose(0, 1.1)
+	after := e.Stats().Cost
 	if math.Abs((after-before)-delta) > 1e-9 {
 		t.Errorf("delta %v vs actual %v", delta, after-before)
 	}

@@ -185,3 +185,78 @@ func TestLShotEngineDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// checkLShapeMethod fractures poly with MethodLShape through the
+// facade and pins its rectangle and flash counts.
+func checkLShapeMethod(t *testing.T, poly Polygon, rects, flashes int) {
+	t.Helper()
+	prob, err := NewProblem(poly, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prob.Fracture(MethodLShape, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLPairs(t, res)
+	if res.ShotCount() != rects || res.FlashCount() != flashes {
+		t.Errorf("%d rectangles in %d flashes, want %d in %d",
+			res.ShotCount(), res.FlashCount(), rects, flashes)
+	}
+	// non-model-based fracture: corner rounding violations only
+	if res.FailOff != 0 {
+		t.Errorf("overdose from a partition-based fracture: %d Poff pixels", res.FailOff)
+	}
+}
+
+// TestFractureLShapeMethodTarget: an L target's two partition
+// rectangles pair into one flash.
+func TestFractureLShapeMethodTarget(t *testing.T) {
+	checkLShapeMethod(t, Polygon{
+		{X: 0, Y: 0}, {X: 120, Y: 0}, {X: 120, Y: 50},
+		{X: 50, Y: 50}, {X: 50, Y: 120}, {X: 0, Y: 120},
+	}, 2, 1)
+}
+
+// TestFractureLShapeMethodStaircase: a staircase's four partition
+// rectangles pair into two flashes.
+func TestFractureLShapeMethodStaircase(t *testing.T) {
+	checkLShapeMethod(t, Polygon{
+		{X: 0, Y: 0}, {X: 80, Y: 0}, {X: 80, Y: 20}, {X: 60, Y: 20},
+		{X: 60, Y: 40}, {X: 40, Y: 40}, {X: 40, Y: 60}, {X: 20, Y: 60},
+		{X: 20, Y: 80}, {X: 0, Y: 80},
+	}, 4, 2)
+}
+
+// TestLShapeSuiteFlashTotals pins the MethodLShape flash totals over
+// the paper's two benchmark tables (EXPERIMENTS.md), curvilinear ILT
+// clips included: maximum matching of the partition rectangles writes
+// Table 2 in 200 flashes and Table 3 in 142.
+func TestLShapeSuiteFlashTotals(t *testing.T) {
+	params := DefaultParams()
+	for _, tc := range []struct {
+		name  string
+		suite []Benchmark
+		want  int
+	}{
+		{"table2", ILTSuite(), 200},
+		{"table3", GeneratedSuite(params), 142},
+	} {
+		total := 0
+		for _, b := range tc.suite {
+			prob, err := NewProblem(b.Target, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := prob.Fracture(MethodLShape, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLPairs(t, res)
+			total += res.FlashCount()
+		}
+		if total != tc.want {
+			t.Errorf("%s: %d lshape flashes, want %d", tc.name, total, tc.want)
+		}
+	}
+}

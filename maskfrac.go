@@ -36,7 +36,6 @@ import (
 	// registry in their package init; mbf is imported above for its
 	// stage statistics type
 	_ "maskfrac/internal/fracture/gsc"
-	_ "maskfrac/internal/fracture/lshape"
 	_ "maskfrac/internal/fracture/mp"
 	_ "maskfrac/internal/fracture/partition"
 	_ "maskfrac/internal/fracture/protoeda"
@@ -85,8 +84,11 @@ const (
 	// overlap and no proximity compensation.
 	MethodPartition Method = "partition"
 	// MethodLShape is L-shape fracturing (the paper's reference [20]):
-	// a rectangle partition whose pieces pair into single-shot L's. The
-	// reported shots are the rectangle decomposition of the L-shots.
+	// a minimum rectangle partition whose flush L-compatible pieces pair
+	// into single L flashes by the same maximum matching as MethodMBFL.
+	// Result.Shots are the partition rectangles, Result.LPairs the
+	// pairs and FlashCount the flashes written. Like MethodPartition it
+	// has no proximity compensation.
 	MethodLShape Method = "lshape"
 )
 

@@ -53,6 +53,13 @@ go test -race -run 'TestStencilPlanE2E' ./internal/cluster
 echo "== go test -race loadgen soak smoke (3-node) =="
 go test -race -count=1 -run 'TestSoakSmoke' ./cmd/loadgen
 
+# every evaluator client runs once more with the cross-check on: each
+# cover.Eval mutation — per-shot dose steps (vdose), matching pursuit's
+# residual reads, the candidate scorer's strip tables — re-verifies
+# against its own dose field and a from-scratch evaluation
+echo "== go test cover.Eval clients under MASKFRAC_EVAL_CHECK =="
+MASKFRAC_EVAL_CHECK=1 go test -count=1 ./internal/cover ./internal/fracture/vdose ./internal/fracture/mp ./internal/fracture/gsc ./internal/fracture/fixup
+
 # -short skips the multi-minute fracturing integration suites, which are
 # too slow under the race detector; the concurrency-heavy tests
 # (shapecache, fracserve, batch, cache, telemetry) all still run.
