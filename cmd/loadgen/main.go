@@ -344,10 +344,11 @@ func replay(ctx context.Context, cl *cluster.Client, lib *maskio.Library, method
 	}
 
 	start := time.Now()
+	keys := shapecache.NewPlacementKeys(lib, []byte(method))
 	walkErr := lib.Walk(func(pl maskio.Placement) error {
-		can := shapecache.Canonicalize(pl.Polygon)
+		can, key := keys.Of(pl)
 		select {
-		case jobs <- item{key: can.KeyWith([]byte(method)), can: can}:
+		case jobs <- item{key: key, can: can}:
 			return nil
 		case <-ctx.Done():
 			return ctx.Err()

@@ -113,9 +113,10 @@ type soakItem struct {
 // the soak loop pays no walk/canonicalize cost per request.
 func collectItems(lib *maskio.Library, method string) ([]soakItem, error) {
 	var items []soakItem
+	keys := shapecache.NewPlacementKeys(lib, []byte(method))
 	err := lib.Walk(func(pl maskio.Placement) error {
-		can := shapecache.Canonicalize(pl.Polygon)
-		items = append(items, soakItem{key: can.KeyWith([]byte(method)), can: can})
+		can, key := keys.Of(pl)
+		items = append(items, soakItem{key: key, can: can})
 		return nil
 	})
 	if err != nil {

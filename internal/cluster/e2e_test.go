@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"maskfrac/internal/geom"
 	"maskfrac/internal/maskio"
 	"maskfrac/internal/shapecache"
+	"maskfrac/internal/telemetry"
 )
 
 // testNode is one in-process fracd member with request accounting and
@@ -29,7 +31,7 @@ type testNode struct {
 	delay       atomic.Int64 // ns, applied to /fracture before delegating
 }
 
-func startTestNode(t *testing.T, id string) *testNode {
+func startTestNode(t testing.TB, id string) *testNode {
 	t.Helper()
 	n := &testNode{id: id, srv: fracserve.New(fracserve.Config{Workers: 4, QueueDepth: 64})}
 	inner := n.srv.Handler()
@@ -54,7 +56,7 @@ func startTestNode(t *testing.T, id string) *testNode {
 	return n
 }
 
-func startCluster(t *testing.T, size int, cfg Config) (*Client, []*testNode) {
+func startCluster(t testing.TB, size int, cfg Config) (*Client, []*testNode) {
 	t.Helper()
 	if cfg.Method == "" {
 		cfg.Method = "proto-eda"
@@ -101,8 +103,10 @@ func e2eLib() *maskio.Library {
 	return &maskio.Library{Name: "e2e", Cells: []*maskio.Cell{leaf, variety, pair, top}}
 }
 
-// distinctClasses walks lib and counts congruence classes the same way
-// the pipeline will, keyed with the cluster method.
+// distinctClasses walks lib and counts congruence classes keyed with
+// the cluster method, canonicalizing every placement on its own — an
+// independent reference for the pipeline, exact on e2eLib's integer
+// coordinates.
 func distinctClasses(t *testing.T, lib *maskio.Library, method string) int {
 	t.Helper()
 	seen := map[shapecache.Key]struct{}{}
@@ -124,7 +128,7 @@ func TestClusterE2ESingleSolvePerClass(t *testing.T) {
 	// bias), so the shot geometry checks below can assert equality
 	c, nodes := startCluster(t, 3, Config{WantShots: true, Method: "partition"})
 	lib := e2eLib()
-	ctx := context.Background()
+	ctx, root := telemetry.WithTrace(context.Background(), "test-mask")
 
 	wantPlacements, err := lib.PlacementCount()
 	if err != nil {
@@ -164,6 +168,27 @@ func TestClusterE2ESingleSolvePerClass(t *testing.T) {
 	if mr.Classes != wantClasses {
 		t.Errorf("classes = %d, want %d", mr.Classes, wantClasses)
 	}
+	// the D4 search runs once per (Cell, Shape, Orient), never per
+	// placement: at most 8 per dictionary boundary
+	root.End()
+	span := root.Find("cluster.pipeline")
+	if span == nil {
+		t.Fatal("no cluster.pipeline span")
+	}
+	canon, _ := attrValue(span, "canonicalized")
+	boundaries, triples := 0, map[string]bool{}
+	for _, cell := range lib.Cells {
+		boundaries += len(cell.Boundaries)
+	}
+	if err := lib.Walk(func(pl maskio.Placement) error {
+		triples[fmt.Sprintf("%s/%d/%d", pl.Cell, pl.Shape, pl.Orient)] = true
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := canon.(int); !ok || n != len(triples) || n > 8*boundaries {
+		t.Errorf("canonicalized = %v, want %d distinct (Cell, Shape, Orient), at most 8 × %d boundaries", canon, len(triples), boundaries)
+	}
 	if mr.Shots <= 0 || mr.WriteTime <= 0 {
 		t.Errorf("aggregates: shots=%d writetime=%v", mr.Shots, mr.WriteTime)
 	}
@@ -195,6 +220,51 @@ func TestClusterE2ESingleSolvePerClass(t *testing.T) {
 		if n.fractures.Load() == 0 {
 			t.Errorf("node %s received no requests: routing is not spreading", n.id)
 		}
+	}
+}
+
+// TestClusterE2ENonDyadicOrigins pins the pipeline's float behaviour:
+// at origins like 0.1·i a per-placement Canonicalize rounds translated
+// copies of one boundary apart into several keys, but the pipeline
+// canonicalizes each boundary once per orientation, so it reports one
+// class per dictionary boundary up to D4.
+func TestClusterE2ENonDyadicOrigins(t *testing.T) {
+	c, _ := startCluster(t, 1, Config{Method: "partition"})
+	lshape := geom.Polygon{
+		geom.Pt(0, 0), geom.Pt(90.25, 0), geom.Pt(90.25, 30),
+		geom.Pt(30, 30), geom.Pt(30, 120.5), geom.Pt(0, 120.5),
+	}
+	rect := geom.Polygon{geom.Pt(0, 0), geom.Pt(170, 0), geom.Pt(170, 30.75), geom.Pt(0, 30.75)}
+	leaf := &maskio.Cell{Name: "leaf", Boundaries: []geom.Polygon{lshape, rect}}
+	top := &maskio.Cell{Name: "top"}
+	for i := 1; i <= 24; i++ {
+		top.Refs = append(top.Refs, maskio.Ref{
+			Cell: "leaf", Orient: maskio.Orient(i % 8), Cols: 1, Rows: 1,
+			Origin: geom.Pt(0.1*float64(i), 0.1*float64(3*i%7)),
+		})
+	}
+	top.Refs = append(top.Refs, maskio.Ref{
+		Cell: "leaf", Orient: maskio.OrientRot90, Cols: 5, Rows: 3,
+		Origin: geom.Pt(0.7, 0.2), ColStep: geom.Pt(0.1, 0.3), RowStep: geom.Pt(0.3, 0.1),
+	})
+	lib := &maskio.Library{Name: "non-dyadic", Cells: []*maskio.Cell{leaf, top}}
+	if n := distinctClasses(t, lib, "partition"); n <= len(leaf.Boundaries) {
+		t.Fatalf("per-placement canonicalization gave %d keys; the input no longer exercises the float caveat", n)
+	}
+
+	keyOf := map[int]shapecache.Key{}
+	mr, err := RunPipeline(context.Background(), c, lib, PipelineConfig{OnResult: func(pr *PlacementResult) error {
+		if k, ok := keyOf[pr.Shape]; ok && k != pr.Key {
+			t.Errorf("placement %d: boundary %d split into a second class", pr.Seq, pr.Shape)
+		}
+		keyOf[pr.Shape] = pr.Key
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mr.Classes != len(leaf.Boundaries) {
+		t.Errorf("classes = %d, want one per dictionary boundary (%d)", mr.Classes, len(leaf.Boundaries))
 	}
 }
 

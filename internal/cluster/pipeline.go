@@ -15,15 +15,15 @@ import (
 
 // PipelineConfig tunes one full-mask run.
 type PipelineConfig struct {
-	// Workers is the number of placements canonicalized/resolved
-	// concurrently (default 8). Distinct congruence classes solve in
-	// parallel up to this bound; repeated classes resolve from the run's
-	// memo without touching the cluster.
+	// Workers is the number of placements resolved concurrently
+	// (default 8). Distinct congruence classes solve in parallel up to
+	// this bound; repeated classes resolve from the run's memo without
+	// touching the cluster.
 	Workers int
 	// Window bounds the reorder buffer that restores walk order on
 	// output (default 4*Workers). It is the only pipeline state that
-	// grows with placement skew, so memory stays O(Window + classes)
-	// regardless of mask size.
+	// grows with placement skew, so memory stays O(Window + classes +
+	// dictionary) regardless of mask size.
 	Window int
 	// WriteModel prices the aggregate shot count (default
 	// writecost.Default()).
@@ -136,7 +136,12 @@ func (mc *classMemo) resolve(ctx context.Context, key shapecache.Key, fn func() 
 // RunPipeline streams lib's placements through the cluster and
 // reassembles results in deterministic walk order. The walker runs
 // incrementally — back-pressure from the reorder window pauses it, so
-// the pipeline never materializes the flattened mask.
+// the pipeline never materializes the flattened mask. Placements are
+// keyed by shapecache.PlacementKeys: each dictionary boundary is
+// canonicalized once per orientation, so within a run translated
+// copies of one (Cell, Shape, Orient) always share a class, even at
+// origins where a per-placement Canonicalize would round them apart.
+// Memory is O(Window + classes + 8 × dictionary boundaries).
 func RunPipeline(ctx context.Context, c *Client, lib *maskio.Library, cfg PipelineConfig) (*MaskResult, error) {
 	cfg = cfg.withDefaults()
 	if err := lib.Validate(); err != nil {
@@ -173,13 +178,16 @@ func RunPipeline(ctx context.Context, c *Client, lib *maskio.Library, cfg Pipeli
 
 	// producer: walk the hierarchy, canonicalize, hand each placement a
 	// future. The order channel's capacity is the reorder window; when
-	// the consumer falls behind, send blocks and the walk pauses.
+	// the consumer falls behind, send blocks and the walk pauses. The D4
+	// search runs once per (Cell, Shape, Orient); every other placement
+	// only gets its translation.
+	keys := shapecache.NewPlacementKeys(lib, []byte(c.cfg.Method))
 	go func() {
 		defer close(jobs)
 		defer close(order)
 		err := lib.Walk(func(pl maskio.Placement) error {
-			can := shapecache.Canonicalize(pl.Polygon)
-			j := job{pl: pl, can: can, key: can.KeyWith([]byte(c.cfg.Method)), fut: make(chan *PlacementResult, 1)}
+			can, key := keys.Of(pl)
+			j := job{pl: pl, can: can, key: key, fut: make(chan *PlacementResult, 1)}
 			select {
 			case order <- j.fut:
 			case <-ctx.Done():
@@ -296,6 +304,7 @@ func RunPipeline(ctx context.Context, c *Client, lib *maskio.Library, cfg Pipeli
 	mr.Elapsed = time.Since(start)
 	span.Set("placements", mr.Placements)
 	span.Set("classes", mr.Classes)
+	span.Set("canonicalized", keys.Canonicalized())
 	span.Set("class_uses_credited", mr.ClassUsesCredited)
 	return mr, nil
 }

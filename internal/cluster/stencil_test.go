@@ -35,9 +35,10 @@ func TestStencilPlanE2E(t *testing.T) {
 
 	lib := shapegen.DemoLibrary(2, 2)
 	placements := 0
+	keys := shapecache.NewPlacementKeys(lib, []byte("proto-eda"))
 	if err := lib.Walk(func(pl maskio.Placement) error {
-		can := shapecache.Canonicalize(pl.Polygon)
-		_, err := c.SolveClass(ctx, can.KeyWith([]byte("proto-eda")), can.Poly)
+		can, key := keys.Of(pl)
+		_, err := c.SolveClass(ctx, key, can.Poly)
 		placements++
 		return err
 	}); err != nil {

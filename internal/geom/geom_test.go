@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -230,6 +231,26 @@ func TestPolygonValidate(t *testing.T) {
 	}
 	if err := (Polygon{{0, 0}, {1, 1}, {2, 2}}).Validate(); err == nil {
 		t.Error("zero-area polygon accepted")
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name   string
+		pg     Polygon
+		vertex string
+	}{
+		{"+Inf x", Polygon{{0, 0}, {inf, 0}, {inf, 1}, {0, 1}}, "vertex 1 "},
+		{"-Inf y", Polygon{{0, 0}, {1, 0}, {1, 1}, {0, math.Inf(-1)}}, "vertex 3 "},
+		{"NaN x", Polygon{{0, 0}, {1, 0}, {nan, 1}, {0, 1}}, "vertex 2 "},
+		{"NaN y", Polygon{{0, nan}, {1, 0}, {1, 1}, {0, 1}}, "vertex 0 "},
+	} {
+		err := tc.pg.Validate()
+		if err == nil {
+			t.Errorf("%s: non-finite polygon accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.vertex) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.vertex)
+		}
 	}
 }
 

@@ -99,7 +99,11 @@ type Canonical struct {
 // translated copies of a shape canonicalize identically only when the
 // subtraction is exact (always true for integer-nanometer and other
 // dyadic coordinates, the common case for mask data). Inexact cases
-// fall back to a harmless cache miss, never a wrong hit.
+// fall back to a harmless cache miss, never a wrong hit. Within a
+// library walk the caveat does not apply: PlacementKeys canonicalizes
+// each dictionary boundary once per orientation at the origin, so
+// translated copies of one (Cell, Shape, Orient) always share a class,
+// whatever their origins.
 func Canonicalize(pg geom.Polygon) Canonical {
 	ccw := pg.EnsureCCW()
 	var best Canonical

@@ -72,6 +72,13 @@ go test -race -short ./...
 echo "== go test -race -bench Refine (smoke) =="
 go test -race -run '^$' -bench 'BenchmarkRefine' -benchtime 1x .
 
+# one pass of the full-mask pipeline benchmark streams the demo mask
+# through 3 in-process nodes under the race detector: the producer's
+# once-per-(Cell, Shape, Orient) canonicalization, the workers, the
+# class memo and the reorder window all run concurrently
+echo "== go test -race -bench RunPipeline (smoke) =="
+go test -race -run '^$' -bench 'BenchmarkRunPipeline' -benchtime 1x ./internal/cluster
+
 # the engine benchmark smoke runs the work-stealing region scheduler at
 # -cpu 1 and 4 under the race detector (identical shot lists asserted
 # inside the benchmark), then the ≥2x multicore speedup gate. On
