@@ -1,6 +1,7 @@
-# Development targets for the maskfrac repo. `make check` is the
-# gate: formatting, vet and the full test suite under the race
-# detector (the shapecache and fracserve tests are concurrency-heavy).
+# Development targets for the maskfrac repo. `make check` is the gate:
+# it runs scripts/check.sh (formatting, vet, the full test suite, the
+# e2e race runs, the MASKFRAC_EVAL_CHECK pass, the bench smokes and the
+# L-shot gate). fmt, vet, test and race run single stages of it.
 
 GO ?= go
 
@@ -46,5 +47,5 @@ soak:
 		-duration $(SOAK_DURATION) -method proto-eda \
 		-json BENCH_$$(date +%F)-soak.json
 
-check: fmt vet test race
-	@echo "check ok"
+check:
+	sh scripts/check.sh

@@ -16,14 +16,17 @@
 // traces), with -peers GET /clusterz (control-plane view aggregating
 // every peer's stats, quantiles and ring ownership; ?format=text for a
 // terminal table) and, with -pprof, GET /debug/pprof/.
-// Structured JSON logs go to stderr; every request is logged with its
-// X-Request-ID. SIGINT/SIGTERM shut the daemon down gracefully,
-// draining in-flight requests and logging drained/rejected counts.
+// Structured JSON logs (log/slog records) go to stderr; every request
+// is logged with its X-Request-ID. -log-level takes debug, info, warn
+// or error; any other value is a usage error (exit 2). SIGINT/SIGTERM
+// shut the daemon down gracefully, draining in-flight requests and
+// logging drained/rejected counts.
 package main
 
 import (
 	"context"
 	"flag"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -51,14 +54,14 @@ func main() {
 		sigma       = flag.Float64("sigma", 6.25, "default e-beam blur sigma in nm")
 		gamma       = flag.Float64("gamma", 2, "default CD tolerance in nm")
 		lmin        = flag.Float64("lmin", 8, "default minimum shot size in nm")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		enablePprof = flag.Bool("pprof", false, "serve net/http/pprof on /debug/pprof/")
 		peers       = flag.String("peers", "", "comma-separated peer fracd base URLs (or name=url) aggregated at GET /clusterz")
 	)
+	var level slog.Level
+	flag.TextVar(&level, "log-level", slog.LevelInfo, "log level: debug, info, warn, error")
 	flag.Parse()
 
-	logger := telemetry.NewLogger(os.Stderr, telemetry.ParseLevel(*logLevel)).
-		With("service", "fracd")
+	logger := telemetry.JSONLogger(os.Stderr, level).With("service", "fracd")
 
 	params := maskfrac.DefaultParams()
 	params.Sigma = *sigma

@@ -1,6 +1,7 @@
 package maskfrac
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -113,6 +114,32 @@ func TestIntegrationSuiteStability(t *testing.T) {
 		for j := range a[i].Target {
 			if a[i].Target[j] != b[i].Target[j] {
 				t.Fatalf("suite vertex drift at %s[%d]", a[i].Name, j)
+			}
+		}
+	}
+}
+
+// TestContourMethodsDeterministic pins the shot lists of the methods
+// that start from raster.Contours: repeated runs on ILT-2 must give
+// byte-identical output, not just the same shot count.
+func TestContourMethodsDeterministic(t *testing.T) {
+	clip := ILTSuite()[1]
+	for _, m := range []Method{MethodPartition, MethodProtoEDA} {
+		var want string
+		for run := 0; run < 5; run++ {
+			prob, err := NewProblem(clip.Target, DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := prob.Fracture(m, nil)
+			if err != nil {
+				t.Fatalf("%s %s: %v", clip.Name, m, err)
+			}
+			got := fmt.Sprint(res.Shots)
+			if run == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s %s run %d: shot list differs from run 0\ngot  %s\nwant %s", clip.Name, m, run, got, want)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -60,7 +61,7 @@ type Config struct {
 	// creates a private registry.
 	Metrics *telemetry.Registry
 	// Logger receives routing and failure logs (default: discard).
-	Logger *telemetry.Logger
+	Logger *slog.Logger
 	// HTTPClient overrides the shared transport used for node clients.
 	HTTPClient *http.Client
 }
@@ -90,7 +91,7 @@ func (c Config) withDefaults() Config {
 		c.Metrics = telemetry.NewRegistry()
 	}
 	if c.Logger == nil {
-		c.Logger = telemetry.NopLogger()
+		c.Logger = telemetry.DiscardLogger()
 	}
 	return c
 }
@@ -146,7 +147,7 @@ type flight struct {
 type Client struct {
 	cfg  Config
 	ring *Ring
-	log  *telemetry.Logger
+	log  *slog.Logger
 
 	mu      sync.Mutex
 	nodes   map[string]*node
@@ -241,17 +242,6 @@ func (c *Client) NodeRequestCounts() map[string]uint64 {
 		out[values[0]] = uint64(ct.Value())
 	})
 	return out
-}
-
-// NodeMetrics fetches and parses /metrics from one member.
-func (c *Client) NodeMetrics(ctx context.Context, id string) ([]telemetry.Sample, error) {
-	c.mu.Lock()
-	n := c.nodes[id]
-	c.mu.Unlock()
-	if n == nil {
-		return nil, fmt.Errorf("cluster: unknown node %q", id)
-	}
-	return n.fc.Metrics(ctx)
 }
 
 // NodeStats fetches /stats from one member.

@@ -9,12 +9,10 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"maskfrac/internal/telemetry"
 )
 
 // NodeStatus is one member's row in the /clusterz control-plane view,
-// aggregated from its /stats and /metrics endpoints.
+// read from its /stats endpoint.
 type NodeStatus struct {
 	ID string `json:"id"`
 	// Err is the poll failure, "" when the node answered. A failed node
@@ -43,7 +41,7 @@ type NodeStatus struct {
 	P50MS float64 `json:"p50_ms"`
 	P99MS float64 `json:"p99_ms"`
 	// TracesRetained is the node's /debug/traces retention count.
-	TracesRetained float64 `json:"traces_retained,omitempty"`
+	TracesRetained int `json:"traces_retained,omitempty"`
 }
 
 // ClusterStatus is the aggregated control-plane view of the cluster.
@@ -58,8 +56,8 @@ type ClusterStatus struct {
 	PolledMS float64 `json:"polled_ms"`
 }
 
-// ClusterStatus polls every ring member's /stats and /metrics
-// concurrently and aggregates the control-plane view. Per-node
+// ClusterStatus polls every ring member's /stats concurrently, one
+// request per node, and aggregates the control-plane view. Per-node
 // failures are reported in the node rows, never as a call error.
 func (c *Client) ClusterStatus(ctx context.Context) *ClusterStatus {
 	start := time.Now()
@@ -102,23 +100,14 @@ func (c *Client) pollNode(ctx context.Context, id string, share float64) NodeSta
 	row.QueueDepth = st.QueueDepth
 	row.QueueCapacity = st.QueueCapacity
 	row.Workers = st.Workers
+	row.Inflight = st.Inflight
+	row.TracesRetained = st.TracesRetained
+	row.P50MS = st.P50MS
+	row.P99MS = st.P99MS
 	row.CacheEntries = st.Cache.Entries
 	if total := st.Cache.Hits + st.Cache.Misses; total > 0 {
 		row.CacheHitRate = float64(st.Cache.Hits) / float64(total)
 	}
-	samples, err := c.NodeMetrics(ctx, id)
-	if err != nil {
-		row.Err = err.Error()
-		return row
-	}
-	if v, ok := telemetry.SampleValue(samples, "fracd_inflight_requests"); ok {
-		row.Inflight = int(v)
-	}
-	if v, ok := telemetry.SampleValue(samples, "fracd_traces_retained"); ok {
-		row.TracesRetained = v
-	}
-	row.P50MS = telemetry.HistogramQuantile(samples, "fracd_request_duration_seconds", 0.5) * 1e3
-	row.P99MS = telemetry.HistogramQuantile(samples, "fracd_request_duration_seconds", 0.99) * 1e3
 	return row
 }
 

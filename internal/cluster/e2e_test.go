@@ -26,6 +26,8 @@ type testNode struct {
 	srv         *fracserve.Server
 	ts          *httptest.Server
 	fractures   atomic.Int64
+	requests    atomic.Int64 // HTTP requests of any path
+	metrics     atomic.Int64 // GET /metrics requests
 	inflight    atomic.Int64
 	maxInflight atomic.Int64
 	delay       atomic.Int64 // ns, applied to /fracture before delegating
@@ -36,6 +38,10 @@ func startTestNode(t testing.TB, id string) *testNode {
 	n := &testNode{id: id, srv: fracserve.New(fracserve.Config{Workers: 4, QueueDepth: 64})}
 	inner := n.srv.Handler()
 	n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n.requests.Add(1)
+		if r.URL.Path == "/metrics" {
+			n.metrics.Add(1)
+		}
 		if r.Method == http.MethodPost && r.URL.Path == "/fracture" {
 			n.fractures.Add(1)
 			cur := n.inflight.Add(1)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"maskfrac/internal/fracserve"
 	"maskfrac/internal/geom"
 	"maskfrac/internal/shapecache"
 	"maskfrac/internal/telemetry"
@@ -144,10 +145,11 @@ func TestClusterTraceHedgeSiblings(t *testing.T) {
 }
 
 // TestClusterStatusView exercises the /clusterz aggregation: every node
-// answers with stats, metrics-derived quantiles and its ring ownership
-// share, and the HTTP handler serves both JSON and text.
+// answers one /stats request with its counters, latency quantiles,
+// in-flight and retained-trace counts, the rows carry ring ownership
+// shares, and the HTTP handler serves both JSON and text.
 func TestClusterStatusView(t *testing.T) {
-	c, _ := startCluster(t, 3, Config{})
+	c, nodes := startCluster(t, 3, Config{})
 	ctx := context.Background()
 	for i := 0; i < 6; i++ {
 		w := float64(50 + 3*i)
@@ -157,8 +159,29 @@ func TestClusterStatusView(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// one direct fracture per node, so every node has a retained trace
+	// whichever way the ring spread the classes
+	for _, n := range nodes {
+		sq := geom.Polygon{geom.Pt(0, 0), geom.Pt(40, 0), geom.Pt(40, 40), geom.Pt(0, 40)}
+		if _, err := fracserve.NewClient(n.ts.URL).Fracture(ctx, sq, "proto-eda"); err != nil {
+			t.Fatal(err)
+		}
+	}
 
+	reqsBefore := make([]int64, len(nodes))
+	metricsBefore := make([]int64, len(nodes))
+	for i, n := range nodes {
+		reqsBefore[i], metricsBefore[i] = n.requests.Load(), n.metrics.Load()
+	}
 	cs := c.ClusterStatus(ctx)
+	for i, n := range nodes {
+		if got := n.requests.Load() - reqsBefore[i]; got != 1 {
+			t.Errorf("node %s: the poll sent %d requests, want 1", n.id, got)
+		}
+		if got := n.metrics.Load() - metricsBefore[i]; got != 0 {
+			t.Errorf("node %s: the poll sent %d /metrics requests, want 0", n.id, got)
+		}
+	}
 	if len(cs.Nodes) != 3 {
 		t.Fatalf("rows = %d, want 3", len(cs.Nodes))
 	}
@@ -178,6 +201,13 @@ func TestClusterStatusView(t *testing.T) {
 		}
 		if n.Requests > 0 && (n.P99MS <= 0 || n.P99MS < n.P50MS) {
 			t.Errorf("node %s quantiles p50=%v p99=%v", n.ID, n.P50MS, n.P99MS)
+		}
+		// the /stats request answering the poll is itself in flight
+		if n.Inflight < 1 {
+			t.Errorf("node %s inflight = %d, want >= 1", n.ID, n.Inflight)
+		}
+		if n.TracesRetained < 1 {
+			t.Errorf("node %s traces_retained = %d, want >= 1", n.ID, n.TracesRetained)
 		}
 	}
 	if math.Abs(share-1) > 1e-9 {

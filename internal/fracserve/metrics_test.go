@@ -3,7 +3,9 @@ package fracserve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +16,6 @@ import (
 	"time"
 
 	"maskfrac/internal/geom"
-	"maskfrac/internal/telemetry"
 )
 
 // scrape fetches url and returns the body as a string.
@@ -150,7 +151,7 @@ func TestE2ERequestIDAndAccessLog(t *testing.T) {
 		defer mu.Unlock()
 		return buf.Write(p)
 	})
-	s := New(Config{Workers: 1, Logger: telemetry.NewLogger(logw, telemetry.LevelInfo)})
+	s := New(Config{Workers: 1, Logger: slog.New(slog.NewJSONHandler(logw, nil))})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -175,17 +176,34 @@ func TestE2ERequestIDAndAccessLog(t *testing.T) {
 	}
 
 	mu.Lock()
-	logs := buf.String()
+	recs := logRecords(t, buf.String())
 	mu.Unlock()
-	if !strings.Contains(logs, `"msg":"request"`) {
-		t.Errorf("no access log line:\n%s", logs)
+	found := false
+	for _, rec := range recs {
+		if rec["msg"] == "request" && rec["id"] == "caller-chosen-id" {
+			found = true
+			if rec["path"] != "/healthz" {
+				t.Errorf("access log path = %v, want /healthz", rec["path"])
+			}
+		}
 	}
-	if !strings.Contains(logs, `"id":"caller-chosen-id"`) {
-		t.Errorf("access log does not carry the caller's request ID:\n%s", logs)
+	if !found {
+		t.Errorf("no access log record carries the caller's request ID: %v", recs)
 	}
-	if !strings.Contains(logs, `"path":"/healthz"`) {
-		t.Errorf("access log missing path:\n%s", logs)
+}
+
+// logRecords decodes one slog JSON record per line.
+func logRecords(t *testing.T, logs string) []map[string]any {
+	t.Helper()
+	var recs []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(logs), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line is not JSON: %v\n%s", err, line)
+		}
+		recs = append(recs, rec)
 	}
+	return recs
 }
 
 type writerFunc func(p []byte) (int, error)
@@ -246,6 +264,14 @@ func TestE2EStatsCoalescedField(t *testing.T) {
 	if st.Cache.Coalesced > st.Cache.Hits {
 		t.Errorf("coalesced=%d > hits=%d", st.Cache.Coalesced, st.Cache.Hits)
 	}
+	// the /clusterz figures: the /stats request itself is in flight,
+	// the fracture's trace is retained, and its latency is observed
+	if st.Inflight < 1 || st.TracesRetained < 1 {
+		t.Errorf("stats inflight=%d traces_retained=%d, want >= 1", st.Inflight, st.TracesRetained)
+	}
+	if st.P50MS <= 0 || st.P99MS < st.P50MS {
+		t.Errorf("stats quantiles p50=%v p99=%v", st.P50MS, st.P99MS)
+	}
 	_ = s
 }
 
@@ -263,7 +289,7 @@ func TestE2EDrainLogging(t *testing.T) {
 	// request (httptest wrapping only the handler would not)
 	s := New(Config{
 		Workers: 1, QueueDepth: 8,
-		Logger: telemetry.NewLogger(logw, telemetry.LevelInfo),
+		Logger: slog.New(slog.NewJSONHandler(logw, nil)),
 	})
 	s.workDelay = 100 * time.Millisecond
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -294,16 +320,21 @@ func TestE2EDrainLogging(t *testing.T) {
 	}
 
 	mu.Lock()
-	logs := buf.String()
+	recs := logRecords(t, buf.String())
 	mu.Unlock()
-	if !strings.Contains(logs, `"msg":"draining"`) {
-		t.Errorf("no draining line:\n%s", logs)
+	msgs := map[string]map[string]any{}
+	for _, rec := range recs {
+		msgs[rec["msg"].(string)] = rec
 	}
-	if !strings.Contains(logs, `"msg":"drained"`) {
-		t.Errorf("no drained line:\n%s", logs)
+	if _, ok := msgs["draining"]; !ok {
+		t.Errorf("no draining record: %v", recs)
 	}
-	if !strings.Contains(logs, `"drained_shapes":2`) {
-		t.Errorf("drained line does not report 2 drained shapes:\n%s", logs)
+	drained, ok := msgs["drained"]
+	if !ok {
+		t.Fatalf("no drained record: %v", recs)
+	}
+	if drained["drained_shapes"] != 2.0 {
+		t.Errorf("drained record reports %v drained shapes, want 2", drained["drained_shapes"])
 	}
 }
 

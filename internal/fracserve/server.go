@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -51,7 +52,7 @@ type Config struct {
 	Metrics *telemetry.Registry
 	// Logger receives structured access and lifecycle logs (default:
 	// discard everything).
-	Logger *telemetry.Logger
+	Logger *slog.Logger
 	// TraceStore tunes retention of completed request traces served on
 	// /debug/traces; zero values select the tracestore defaults.
 	TraceStore tracestore.Config
@@ -83,7 +84,7 @@ func (c Config) withDefaults() Config {
 		c.Metrics = telemetry.NewRegistry()
 	}
 	if c.Logger == nil {
-		c.Logger = telemetry.NopLogger()
+		c.Logger = telemetry.DiscardLogger()
 	}
 	return c
 }
@@ -112,7 +113,7 @@ type Server struct {
 	cache  *maskfrac.ShapeCache
 	jobs   chan *job
 	mux    *http.ServeMux
-	log    *telemetry.Logger
+	log    *slog.Logger
 	reg    *telemetry.Registry
 	traces *tracestore.Store
 
@@ -510,7 +511,7 @@ func (s *Server) run(j *job) {
 	shapeSpan.End()
 	j.results[j.idx] = item
 	s.record(j.method, &item)
-	if s.log.Enabled(telemetry.LevelDebug) {
+	if s.log.Enabled(j.ctx, slog.LevelDebug) {
 		s.log.Debug("shape done",
 			"id", j.reqID, "index", j.idx, "method", string(j.method),
 			"shots", item.ShotCount, "cache_hit", item.CacheHit,
@@ -693,17 +694,23 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleStats serves GET /stats. The wire format predates /metrics and
 // is kept for compatibility; every value is derived from the registry
-// instruments.
+// instruments and the trace store, so a /clusterz poll needs this one
+// request per node.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	_, retained, _ := s.traces.Stats()
 	reply := StatsReply{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Requests:      uint64(s.requests.Value()),
-		Rejected:      uint64(s.rejected.Value()),
-		Timeouts:      uint64(s.timeouts.Value()),
-		QueueDepth:    len(s.jobs),
-		QueueCapacity: s.cfg.QueueDepth,
-		Workers:       s.cfg.Workers,
-		Methods:       make(map[string]MethodStats),
+		UptimeSeconds:  time.Since(s.start).Seconds(),
+		Requests:       uint64(s.requests.Value()),
+		Rejected:       uint64(s.rejected.Value()),
+		Timeouts:       uint64(s.timeouts.Value()),
+		QueueDepth:     len(s.jobs),
+		QueueCapacity:  s.cfg.QueueDepth,
+		Workers:        s.cfg.Workers,
+		Inflight:       int(s.inflight.Value()),
+		TracesRetained: int(retained),
+		P50MS:          s.reqDur.Quantile(0.5) * 1e3,
+		P99MS:          s.reqDur.Quantile(0.99) * 1e3,
+		Methods:        make(map[string]MethodStats),
 	}
 	s.mShapes.Each(func(values []string, c *telemetry.Counter) {
 		name := values[0]

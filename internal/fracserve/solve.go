@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"time"
 
 	"maskfrac"
 	"maskfrac/internal/geom"
 	"maskfrac/internal/maskio"
-	"maskfrac/internal/telemetry"
 )
 
 // handleSolve serves POST /solve: one multi-shape instance through the
@@ -152,7 +152,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	item.SolveMS = resp.SolveMS
 	item.EvalMS = resp.EvalMS
 	s.record(method, &item)
-	if s.log.Enabled(telemetry.LevelDebug) {
+	if s.log.Enabled(ctx, slog.LevelDebug) {
 		s.log.Debug("solve done",
 			"id", reqID, "method", string(method), "shapes", len(targets),
 			"regions", resp.Regions, "shots", resp.ShotCount,

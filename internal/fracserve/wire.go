@@ -227,6 +227,15 @@ type StatsReply struct {
 	// present when the request asked for them with ?classes=K. The
 	// stencil planner mines these across the cluster.
 	TopClasses []stencil.Class `json:"top_classes,omitempty"`
+	// Inflight counts the HTTP requests being served, this one
+	// included.
+	Inflight int `json:"inflight"`
+	// TracesRetained is the /debug/traces retention count.
+	TracesRetained int `json:"traces_retained"`
+	// P50MS/P99MS are request-latency quantiles over every endpoint,
+	// estimated from the fracd_request_duration_seconds buckets.
+	P50MS float64 `json:"p50_ms"`
+	P99MS float64 `json:"p99_ms"`
 }
 
 // ClassUse credits one congruence class with placements the caller

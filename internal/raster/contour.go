@@ -16,12 +16,19 @@ func (e dirEdge) dir() (int, int) { return e.to.i - e.from.i, e.to.j - e.from.j 
 // Contours extracts the closed boundary loops of the true region of b
 // as polygons in world coordinates. Interiors are 4-connected. Outer
 // boundaries come out counterclockwise, hole boundaries clockwise.
-// Vertices lie on pixel corners; collinear runs are collapsed.
+// Vertices lie on pixel corners; collinear runs are collapsed. The
+// output is deterministic: loops come out in row-major scan order of
+// their first boundary edge, each starting at that edge.
 func Contours(b *Bitmap) []geom.Polygon {
 	g := b.Grid
-	// Collect directed boundary edges (interior on the left).
+	// Collect directed boundary edges (interior on the left), recording
+	// the corners in the order the scan first reaches them.
 	out := make(map[corner][]dirEdge)
+	var order []corner
 	addEdge := func(f, t corner) {
+		if _, seen := out[f]; !seen {
+			order = append(order, f)
+		}
 		out[f] = append(out[f], dirEdge{f, t})
 	}
 	for j := 0; j < g.H; j++ {
@@ -45,8 +52,8 @@ func Contours(b *Bitmap) []geom.Polygon {
 	}
 	used := make(map[dirEdge]bool)
 	var loops []geom.Polygon
-	for _, edges := range out {
-		for _, start := range edges {
+	for _, c := range order {
+		for _, start := range out[c] {
 			if used[start] {
 				continue
 			}

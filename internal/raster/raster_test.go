@@ -1,6 +1,7 @@
 package raster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -449,6 +450,41 @@ func TestContoursFuzzRoundTrip(t *testing.T) {
 				i, j := g.Coords(k)
 				t.Fatalf("trial %d: pixel (%d,%d) differs after contour round trip", trial, i, j)
 			}
+		}
+	}
+}
+
+// TestContoursDeterministic pins the loop order and each loop's start
+// vertex: repeated calls on one bitmap give byte-identical output, and
+// the first loop starts at the bottom-left corner of the first true
+// pixel in row-major order.
+func TestContoursDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := Grid{Pitch: 1, W: 40, H: 40}
+	b := NewBitmap(g)
+	for k := 0; k < 12; k++ {
+		x0, y0 := 1+rng.Intn(30), 1+rng.Intn(30)
+		w, h := 1+rng.Intn(8), 1+rng.Intn(8)
+		for j := y0; j < y0+h && j < 39; j++ {
+			for i := x0; i < x0+w && i < 39; i++ {
+				b.Set(i, j, !b.Get(i, j)) // xor: holes and diagonal touches
+			}
+		}
+	}
+	want := fmt.Sprint(Contours(b))
+	for run := 0; run < 50; run++ {
+		if got := fmt.Sprint(Contours(b)); got != want {
+			t.Fatalf("run %d: contours differ\ngot  %s\nwant %s", run, got, want)
+		}
+	}
+	loops := Contours(b)
+	for k, v := range b.Bits {
+		if v {
+			i, j := g.Coords(k)
+			if first := geom.Pt(float64(i), float64(j)); loops[0][0] != first {
+				t.Errorf("first loop starts at %v, want %v", loops[0][0], first)
+			}
+			break
 		}
 	}
 }

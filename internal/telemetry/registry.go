@@ -1,9 +1,10 @@
 // Package telemetry is the repo's dependency-free observability layer:
 // a metrics registry with Prometheus text-format exposition (counters,
 // gauges, fixed-bucket histograms, labeled vectors and callback
-// metrics), a leveled structured JSON logger with per-request IDs, and
-// a lightweight span/trace API threaded through context.Context so
-// instrumented code pays one context lookup when tracing is disabled.
+// metrics), per-request IDs, a disabled log/slog logger for callers
+// that configure none, and a lightweight span/trace API threaded
+// through context.Context so instrumented code pays one context lookup
+// when tracing is disabled.
 //
 // Metric name conventions follow Prometheus: `<subsystem>_<what>_<unit>`
 // with `_total` suffixes on counters (e.g. fracd_requests_total,
@@ -478,6 +479,47 @@ func (v *HistogramVec) Each(fn func(values []string, h *Histogram)) {
 	for i, k := range keys {
 		fn(splitValues(k), children[i])
 	}
+}
+
+// Quantile estimates quantile q (in [0,1]) of every observation in
+// the family, summing the children's cumulative bucket counts and
+// interpolating linearly within the bucket holding the target rank.
+// Observations in the +Inf bucket clamp to the highest finite bound.
+// Returns 0 when the family has no observations.
+func (v *HistogramVec) Quantile(q float64) float64 {
+	var cum []uint64
+	v.Each(func(_ []string, h *Histogram) {
+		bc := h.BucketCounts()
+		if cum == nil {
+			cum = bc
+			return
+		}
+		for i, c := range bc {
+			cum[i] += c
+		}
+	})
+	if len(cum) == 0 || cum[len(cum)-1] == 0 {
+		return 0
+	}
+	q = math.Min(math.Max(q, 0), 1)
+	rank := q * float64(cum[len(cum)-1])
+	lowerBound, lowerCum := 0.0, 0.0
+	for i, c := range cum {
+		fc := float64(c)
+		if fc >= rank {
+			if i == len(v.buckets) {
+				return lowerBound // clamp: highest finite bound
+			}
+			if fc == lowerCum {
+				return v.buckets[i]
+			}
+			return lowerBound + (v.buckets[i]-lowerBound)*(rank-lowerCum)/(fc-lowerCum)
+		}
+		if i < len(v.buckets) {
+			lowerBound, lowerCum = v.buckets[i], fc
+		}
+	}
+	return lowerBound
 }
 
 func (v *HistogramVec) desc() desc { return v.d }

@@ -196,3 +196,55 @@ node_inflight{node="n1"} 1
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", out, want)
 	}
 }
+
+func TestHistogramVecQuantile(t *testing.T) {
+	// 90 observations <= 0.1, 10 in (0.1, 1]: p50 interpolates inside
+	// the first bucket, p99 inside the second.
+	observe := func(h *Histogram, below, above int) {
+		for i := 0; i < below; i++ {
+			h.Observe(0.05)
+		}
+		for i := 0; i < above; i++ {
+			h.Observe(0.5)
+		}
+	}
+	v := NewRegistry().HistogramVec("h", "test", []float64{0.1, 1}, "m")
+	observe(v.With("a"), 90, 10)
+	p50 := v.Quantile(0.5)
+	if p50 <= 0 || p50 > 0.1 {
+		t.Errorf("p50 = %v, want in (0, 0.1]", p50)
+	}
+	if want := 0.1 * 50 / 90; math.Abs(p50-want) > 1e-12 {
+		t.Errorf("p50 = %v, want %v", p50, want)
+	}
+	p99 := v.Quantile(0.99)
+	if p99 <= 0.1 || p99 > 1 {
+		t.Errorf("p99 = %v, want in (0.1, 1]", p99)
+	}
+	if want := 0.1 + 0.9*9.0/10; math.Abs(p99-want) > 1e-12 {
+		t.Errorf("p99 = %v, want %v", p99, want)
+	}
+	// aggregation across label sets: two shards of the same family
+	sharded := NewRegistry().HistogramVec("h", "test", []float64{0.1, 1}, "m")
+	observe(sharded.With("a"), 45, 5)
+	observe(sharded.With("b"), 45, 5)
+	if got := sharded.Quantile(0.5); math.Abs(got-p50) > 1e-9 {
+		t.Errorf("sharded p50 = %v, want %v", got, p50)
+	}
+	// +Inf-only mass clamps to the highest finite bound
+	tail := NewRegistry().HistogramVec("h", "test", []float64{0.1}, "m")
+	for i := 0; i < 10; i++ {
+		tail.With("a").Observe(5)
+	}
+	if got := tail.Quantile(0.5); got != 0.1 {
+		t.Errorf("tail p50 = %v, want clamp to 0.1", got)
+	}
+	empty := NewRegistry().HistogramVec("h", "test", nil, "m")
+	if got := empty.Quantile(0.5); got != 0 {
+		t.Errorf("empty quantile = %v", got)
+	}
+	empty.With("a") // a child with no observations
+	if got := empty.Quantile(0.5); got != 0 {
+		t.Errorf("unobserved quantile = %v", got)
+	}
+}

@@ -1,7 +1,7 @@
 #!/bin/sh
-# check.sh — the repo's CI gate: formatting, vet, and the full test
-# suite under the race detector. Equivalent to `make check` for
-# environments without make.
+# check.sh — the repo's CI gate: formatting, vet, the full test suite,
+# the race-detector runs, the evaluator cross-check pass, the benchmark
+# smokes and the L-shot gate. `make check` runs this script.
 set -eu
 
 cd "$(dirname "$0")/.."
