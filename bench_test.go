@@ -236,14 +236,65 @@ func BenchmarkDoseMap(b *testing.B) {
 	}
 }
 
+// BenchmarkDeltaCost measures scoring one candidate move. "square"
+// grows a lone 100 nm square shot's right edge by one pitch; "settled"
+// cycles through every ±Δp edge move of a refined SRAF solution (the
+// refinement benchmark's instance after EdgeAdjust), the candidates a
+// refinement sweep scores once the dose has settled. strip-px/op is the
+// strip area a move's dose change covers; visited-px/op is what the
+// near-threshold scorer actually visits of it.
 func BenchmarkDeltaCost(b *testing.B) {
-	p := mustCover(b, square(100))
-	e := cover.NewEval(p, []geom.Rect{{X0: 0, Y0: 0, X1: 100, Y1: 100}})
-	moved := geom.Rect{X0: 0, Y0: 0, X1: 101, Y1: 100}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.DeltaCost(0, moved)
-	}
+	b.Run("square", func(b *testing.B) {
+		p := mustCover(b, square(100))
+		e := cover.NewEval(p, []geom.Rect{{X0: 0, Y0: 0, X1: 100, Y1: 100}})
+		moved := geom.Rect{X0: 0, Y0: 0, X1: 101, Y1: 100}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.DeltaCost(0, moved)
+		}
+		reportScanEffort(b, e)
+	})
+	b.Run("settled", func(b *testing.B) {
+		p, seed := refineBenchSetup(b)
+		e := cover.NewEval(p, seed)
+		defer e.Close()
+		fixup.EdgeAdjust(p, e, 40)
+		type move struct {
+			i  int
+			nr geom.Rect
+		}
+		var moves []move
+		pitch := p.Params.Pitch
+		for i, r := range e.Shots {
+			for _, d := range []float64{pitch, -pitch} {
+				for _, nr := range []geom.Rect{
+					{X0: r.X0 + d, Y0: r.Y0, X1: r.X1, Y1: r.Y1},
+					{X0: r.X0, Y0: r.Y0, X1: r.X1 + d, Y1: r.Y1},
+					{X0: r.X0, Y0: r.Y0 + d, X1: r.X1, Y1: r.Y1},
+					{X0: r.X0, Y0: r.Y0, X1: r.X1, Y1: r.Y1 + d},
+				} {
+					if e.LegalMove(i, nr) {
+						moves = append(moves, move{i, nr})
+					}
+				}
+			}
+		}
+		e.PixelsScored, e.PixelsSkipped = 0, 0
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			m := moves[n%len(moves)]
+			e.DeltaCost(m.i, m.nr)
+		}
+		reportScanEffort(b, e)
+	})
+}
+
+// reportScanEffort reports an evaluator's scored strip pixels and the
+// pixels the scorer visited of them, per benchmark op.
+func reportScanEffort(b *testing.B, e *cover.Eval) {
+	n := float64(b.N)
+	b.ReportMetric(float64(e.PixelsScored)/n, "strip-px/op")
+	b.ReportMetric(float64(e.PixelsScored-e.PixelsSkipped)/n, "visited-px/op")
 }
 
 func BenchmarkEDT(b *testing.B) {

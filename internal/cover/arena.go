@@ -1,4 +1,4 @@
-// Per-Eval buffer arenas: the dose grid, failing-pixel bitmaps, edge
+// Per-Eval buffer arenas: the dose grid, pixel bitmaps, edge
 // tables and accumulation scratch of an evaluator are the dominant
 // allocations of a cache-miss solve, and the refinement loops of every
 // heuristic construct evaluators repeatedly (polish candidates,
@@ -39,7 +39,7 @@ func ArenaCounters() ArenaStats {
 }
 
 // arenaListCap bounds each free list; an evaluator holds one dose
-// field, two bitmaps and two scratch slices, so a handful of retained
+// field, three bitmaps and two scratch slices, so a handful of retained
 // buffers covers the construct-close-construct churn of the
 // refinement loops without hoarding.
 const arenaListCap = 8
@@ -56,10 +56,11 @@ const arenaListCap = 8
 // returns to it, which is what carries buffer reuse across cache-miss
 // solves.
 type Arena struct {
-	mu   sync.Mutex
-	f64  [][]float64
-	f32  [][]float32
-	bits [][]bool
+	mu    sync.Mutex
+	f64   [][]float64
+	f32   [][]float32
+	bits  [][]bool
+	words [][]uint64
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
@@ -77,98 +78,62 @@ func (a *Arena) recycle() {
 
 // getF64 returns a zeroed []float64 of length n, reusing a free-listed
 // buffer when one is large enough.
-func (a *Arena) getF64(n int) []float64 {
-	a.mu.Lock()
-	for i := len(a.f64) - 1; i >= 0; i-- {
-		if s := a.f64[i]; cap(s) >= n {
-			a.f64[i] = a.f64[len(a.f64)-1]
-			a.f64 = a.f64[:len(a.f64)-1]
-			a.mu.Unlock()
-			arenaHitsTotal.Add(1)
-			arenaBytesReusedTotal.Add(8 * int64(n))
-			s = s[:n]
-			clear(s)
-			return s
-		}
-	}
-	a.mu.Unlock()
-	arenaMissesTotal.Add(1)
-	return make([]float64, n)
-}
+func (a *Arena) getF64(n int) []float64 { return get(a, &a.f64, n, 8) }
 
 // getF32 returns a zeroed []float32 of length n.
-func (a *Arena) getF32(n int) []float32 {
-	a.mu.Lock()
-	for i := len(a.f32) - 1; i >= 0; i-- {
-		if s := a.f32[i]; cap(s) >= n {
-			a.f32[i] = a.f32[len(a.f32)-1]
-			a.f32 = a.f32[:len(a.f32)-1]
-			a.mu.Unlock()
-			arenaHitsTotal.Add(1)
-			arenaBytesReusedTotal.Add(4 * int64(n))
-			s = s[:n]
-			clear(s)
-			return s
-		}
-	}
-	a.mu.Unlock()
-	arenaMissesTotal.Add(1)
-	return make([]float32, n)
-}
+func (a *Arena) getF32(n int) []float32 { return get(a, &a.f32, n, 4) }
 
 // getBits returns a zeroed []bool of length n.
-func (a *Arena) getBits(n int) []bool {
-	a.mu.Lock()
-	for i := len(a.bits) - 1; i >= 0; i-- {
-		if s := a.bits[i]; cap(s) >= n {
-			a.bits[i] = a.bits[len(a.bits)-1]
-			a.bits = a.bits[:len(a.bits)-1]
-			a.mu.Unlock()
-			arenaHitsTotal.Add(1)
-			arenaBytesReusedTotal.Add(int64(n))
-			s = s[:n]
-			clear(s)
-			return s
-		}
-	}
-	a.mu.Unlock()
-	arenaMissesTotal.Add(1)
-	return make([]bool, n)
-}
+func (a *Arena) getBits(n int) []bool { return get(a, &a.bits, n, 1) }
+
+// getWords returns a zeroed []uint64 of length n.
+func (a *Arena) getWords(n int) []uint64 { return get(a, &a.words, n, 8) }
 
 // putF64 returns a buffer to the free list (nil and zero-capacity
 // slices are dropped, as are buffers beyond the list cap).
-func (a *Arena) putF64(s []float64) {
-	if cap(s) == 0 {
-		return
-	}
-	a.mu.Lock()
-	if len(a.f64) < arenaListCap {
-		a.f64 = append(a.f64, s[:0])
-	}
-	a.mu.Unlock()
-}
+func (a *Arena) putF64(s []float64) { put(a, &a.f64, s) }
 
 // putF32 returns a buffer to the free list.
-func (a *Arena) putF32(s []float32) {
-	if cap(s) == 0 {
-		return
-	}
-	a.mu.Lock()
-	if len(a.f32) < arenaListCap {
-		a.f32 = append(a.f32, s[:0])
-	}
-	a.mu.Unlock()
-}
+func (a *Arena) putF32(s []float32) { put(a, &a.f32, s) }
 
 // putBits returns a buffer to the free list.
-func (a *Arena) putBits(s []bool) {
+func (a *Arena) putBits(s []bool) { put(a, &a.bits, s) }
+
+// putWords returns a buffer to the free list.
+func (a *Arena) putWords(s []uint64) { put(a, &a.words, s) }
+
+// get pops a free-listed buffer of capacity at least n from *list (or
+// allocates one), zeroed and resliced to n; size is the element size
+// in bytes, for the reuse counter.
+func get[T any](a *Arena, list *[][]T, n, size int) []T {
+	a.mu.Lock()
+	l := *list
+	for i := len(l) - 1; i >= 0; i-- {
+		if s := l[i]; cap(s) >= n {
+			l[i] = l[len(l)-1]
+			*list = l[:len(l)-1]
+			a.mu.Unlock()
+			arenaHitsTotal.Add(1)
+			arenaBytesReusedTotal.Add(int64(size) * int64(n))
+			s = s[:n]
+			clear(s)
+			return s
+		}
+	}
+	a.mu.Unlock()
+	arenaMissesTotal.Add(1)
+	return make([]T, n)
+}
+
+// put pushes s onto *list unless it has no capacity or the list is
+// full.
+func put[T any](a *Arena, list *[][]T, s []T) {
 	if cap(s) == 0 {
 		return
 	}
 	a.mu.Lock()
-	if len(a.bits) < arenaListCap {
-		a.bits = append(a.bits, s[:0])
+	if len(*list) < arenaListCap {
+		*list = append(*list, s[:0])
 	}
 	a.mu.Unlock()
 }

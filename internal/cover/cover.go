@@ -8,6 +8,7 @@ package cover
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"sync/atomic"
 
@@ -96,6 +97,13 @@ type Problem struct {
 	Class   []Class // per-pixel class, row-major over Grid
 
 	nOn, nOff int
+
+	// tau is the near-threshold margin τ of the evaluator's near
+	// bitmap (see Eval): a bound on how far the dose at any pixel moves
+	// when one shot edge moves by one pitch, times a safety factor, so
+	// a pixel more than τ from ρ cannot change its Eq. 5 term under
+	// such a move. Derived from the model in buildProblem.
+	tau float64
 
 	// arena recycles evaluator buffers across the NewEval/Close churn
 	// of this problem's solve; acquired lazily, returned by Recycle.
@@ -191,8 +199,22 @@ func buildProblem(targets []geom.Polygon, params Params, model *ebeam.Model) (*P
 		Inside:  inside,
 		Class:   make([]Class, grid.Len()),
 	}
+	p.tau = nearMargin(model, params.Pitch)
 	p.classify()
 	return p, nil
+}
+
+// nearMargin derives the near-threshold margin τ from the model:
+// 2.5 × Σ_c w_c · sup_t |P_c(t+Δp) − P_c(t)|. A one-pitch move of one
+// edge changes the dose at a pixel by at most the sum, so the factor
+// puts such a move at 0.4 τ, inside the τ/2 bound the pruned scorer
+// admits. ≈ 0.23 at the paper's parameters.
+func nearMargin(model *ebeam.Model, pitch float64) float64 {
+	step := 0.0
+	for c := 0; c < model.Components(); c++ {
+		step += model.Weight(c) * model.MaxStep(c, pitch)
+	}
+	return 2.5 * step
 }
 
 // InteractionRadius returns the one-sided independence margin of the
@@ -430,6 +452,7 @@ var (
 	evalMutationsTotal     atomic.Int64
 	evalPixelsMutatedTotal atomic.Int64
 	evalPixelsScoredTotal  atomic.Int64
+	evalPixelsSkippedTotal atomic.Int64
 	mutationObserver       atomic.Value // holds a mutObs
 )
 
@@ -437,13 +460,17 @@ var (
 type mutObs struct{ fn func(pixels int) }
 
 // EvalEffort is a snapshot of the process-wide evaluator effort
-// counters: how many mutations all evaluators have committed and how
-// many pixels their incremental scans visited while committing
-// (PixelsMutated) or scoring candidates via DeltaCost (PixelsScored).
+// counters: how many mutations all evaluators have committed, how
+// many pixels their incremental scans covered while committing
+// (PixelsMutated) or scoring candidates (PixelsScored, the strip
+// area), and how many of the scored strip pixels the near-threshold
+// scorer proved unchanged without visiting them (PixelsSkipped, a
+// subset of PixelsScored).
 type EvalEffort struct {
 	Mutations     int64
 	PixelsMutated int64
 	PixelsScored  int64
+	PixelsSkipped int64
 }
 
 // EvalCounters returns the current process-wide evaluator effort totals.
@@ -452,6 +479,7 @@ func EvalCounters() EvalEffort {
 		Mutations:     evalMutationsTotal.Load(),
 		PixelsMutated: evalPixelsMutatedTotal.Load(),
 		PixelsScored:  evalPixelsScoredTotal.Load(),
+		PixelsSkipped: evalPixelsSkippedTotal.Load(),
 	}
 }
 
@@ -485,6 +513,12 @@ var evalCheckEnv = os.Getenv("MASKFRAC_EVAL_CHECK") != ""
 // zero whenever no pixel fails, and RecomputeStats re-anchors it on
 // demand). FailOn/FailOff counts and the bitmaps are exact.
 //
+// Alongside, the evaluator keeps the near bitmap, one bit per pixel:
+// bit k is set iff pixel k is On with Dose < ρ+τ or Off with
+// Dose ≥ ρ−τ, τ being the problem's near-threshold margin. Failing
+// pixels are always set, Band pixels never. DeltaCost uses it to score
+// a small single-axis move on the set pixels alone (see moveScan).
+//
 // Shots may be merged pairwise into L-shots (Pair/Unpair, see
 // lshot.go): a paired shot keeps its slot in Shots but the pair shares
 // one dose — the overlap term is subtracted so the pair delivers the
@@ -503,6 +537,7 @@ type Eval struct {
 	stats   Stats
 	failOn  *raster.Bitmap
 	failOff *raster.Bitmap
+	near    []uint64 // the near bitmap, 64 pixels per word
 
 	// partner[i] is the index of the shot L-paired with shot i, −1 when
 	// shot i is an unpaired rectangle. Symmetric: partner[partner[i]]
@@ -523,20 +558,24 @@ type Eval struct {
 	// SetShot, ApplyDelta) since construction.
 	Mutations int
 	// PixelsMutated counts pixels visited committing mutations;
-	// PixelsScored counts pixels visited scoring DeltaCost candidates.
+	// PixelsScored counts the strip pixels of scored candidates, and
+	// PixelsSkipped those of them the near-threshold scorer proved
+	// unchanged without visiting.
 	PixelsMutated int64
 	PixelsScored  int64
+	PixelsSkipped int64
 
-	check  bool      // cross-check mode, see SetCrossCheck
-	tab    edgeTabs  // moveScan scratch: per-component 1D edge tables
-	buf    []float32 // backing storage for tab
-	accBuf []float32 // AccumulateShotBuf scratch, reused across mutations
-	row    []float64 // ShotRows output row, reused across candidates
-	arena  *Arena    // owner of the buffers above; receives them on Close
+	check   bool      // cross-check mode, see SetCrossCheck
+	noPrune bool      // score every move with the full strip scan (tests)
+	tab     edgeTabs  // moveScan scratch: per-component 1D edge tables
+	buf     []float32 // backing storage for tab
+	accBuf  []float32 // AccumulateShotBuf scratch, reused across mutations
+	row     []float64 // ShotRows output row, reused across candidates
+	arena   *Arena    // owner of the buffers above; receives them on Close
 }
 
 // edgeTabs holds the per-component 1D edge-profile tables of one
-// moveScan, sampled over the union support box via the float32 strip
+// moveScan, sampled over the move's scan window via the float32 strip
 // kernels. The model has at most two Gaussian components.
 type edgeTabs struct {
 	exOld, exNew [2][]float32
@@ -556,6 +595,7 @@ func NewEval(p *Problem, shots []geom.Rect) *Eval {
 		Dose:    &raster.Field{Grid: p.Grid, V: a.getF64(n)},
 		failOn:  &raster.Bitmap{Grid: p.Grid, Bits: a.getBits(n)},
 		failOff: &raster.Bitmap{Grid: p.Grid, Bits: a.getBits(n)},
+		near:    a.getWords((n + 63) / 64),
 		check:   evalCheckEnv,
 		arena:   a,
 	}
@@ -563,8 +603,8 @@ func NewEval(p *Problem, shots []geom.Rect) *Eval {
 	return e
 }
 
-// Close returns the evaluator's buffers (dose field, failing bitmaps,
-// edge tables, accumulation scratch) to the problem's arena and nils
+// Close returns the evaluator's buffers (dose field, failing and near
+// bitmaps, edge tables, accumulation scratch) to the problem's arena and nils
 // the fields, so a use-after-close panics instead of corrupting a
 // successor evaluator's state. Close is idempotent; the shot list
 // stays readable. Callers that keep the dose field (via e.Dose) must
@@ -577,10 +617,11 @@ func (e *Eval) Close() {
 		a.putF64(e.Dose.V)
 		a.putBits(e.failOn.Bits)
 		a.putBits(e.failOff.Bits)
+		a.putWords(e.near)
 		a.putF32(e.buf)
 		a.putF32(e.accBuf)
 	}
-	e.Dose, e.failOn, e.failOff = nil, nil, nil
+	e.Dose, e.failOn, e.failOff, e.near = nil, nil, nil, nil
 	e.buf, e.accBuf, e.row = nil, nil, nil
 	e.tab = edgeTabs{}
 	e.arena = nil
@@ -613,12 +654,14 @@ func (e *Eval) Reset(shots []geom.Rect) {
 	}
 }
 
-// rebuildState derives stats and the failing bitmaps from the current
-// dose field with one full-grid scan, re-anchoring the running cost.
+// rebuildState derives stats, the failing bitmaps and the near bitmap
+// from the current dose field with one full-grid scan, re-anchoring the
+// running cost.
 func (e *Eval) rebuildState() {
 	p := e.P
 	rho := p.Params.Rho
 	var st Stats
+	clear(e.near)
 	for k, c := range p.Class {
 		v := e.Dose.V[k]
 		fOn, fOff := false, false
@@ -638,8 +681,32 @@ func (e *Eval) rebuildState() {
 		}
 		e.failOn.Bits[k] = fOn
 		e.failOff.Bits[k] = fOff
+		if p.isNear(c, v) {
+			e.near[k>>6] |= 1 << (k & 63)
+		}
 	}
 	e.stats = st
+}
+
+// isNear reports whether a pixel of class c at dose v belongs in the
+// near bitmap: On below ρ+τ, or Off at or above ρ−τ.
+func (p *Problem) isNear(c Class, v float64) bool {
+	switch c {
+	case On:
+		return v < p.Params.Rho+p.tau
+	case Off:
+		return v >= p.Params.Rho-p.tau
+	}
+	return false
+}
+
+// setNear sets or clears the near bit of pixel k.
+func (e *Eval) setNear(k int, near bool) {
+	if near {
+		e.near[k>>6] |= 1 << (k & 63)
+	} else {
+		e.near[k>>6] &^= 1 << (k & 63)
+	}
 }
 
 // RecomputeStats rebuilds the maintained violation state with a full
@@ -769,7 +836,8 @@ func (e *Eval) retireSpan(i0, j0, i1, j1 int) {
 }
 
 // restoreSpan re-classifies every constrained pixel in the box against
-// the updated dose field, adding back cost terms and fail bits.
+// the updated dose field, adding back cost terms and fail bits and
+// re-deriving near bits.
 func (e *Eval) restoreSpan(i0, j0, i1, j1 int) {
 	p := e.P
 	g := p.Grid
@@ -779,19 +847,21 @@ func (e *Eval) restoreSpan(i0, j0, i1, j1 int) {
 		for i := i0; i <= i1; i++ {
 			k := base + i
 			v := e.Dose.V[k]
-			switch p.Class[k] {
+			switch c := p.Class[k]; c {
 			case On:
 				if v < rho {
 					e.failOn.Bits[k] = true
 					e.stats.FailOn++
 					e.stats.Cost += rho - v
 				}
+				e.setNear(k, p.isNear(c, v))
 			case Off:
 				if v >= rho {
 					e.failOff.Bits[k] = true
 					e.stats.FailOff++
 					e.stats.Cost += v - rho
 				}
+				e.setNear(k, p.isNear(c, v))
 			}
 		}
 	}
@@ -884,8 +954,9 @@ func (e *Eval) SnapshotShots() []geom.Rect {
 }
 
 // crossCheck asserts the maintained state against two references: an
-// exact scan of the evaluator's own dose field (counts and bitmaps must
-// match exactly, cost up to accumulated rounding) and a from-scratch
+// exact scan of the evaluator's own dose field (counts, failing bitmaps
+// and the near bitmap must match exactly, cost up to accumulated
+// rounding) and a from-scratch
 // Problem.Evaluate, whose dose accumulates in shot order and therefore
 // also matches cost only up to rounding.
 func (e *Eval) crossCheck(op string) {
@@ -911,6 +982,9 @@ func (e *Eval) crossCheck(op string) {
 		}
 		if fOn != e.failOn.Bits[k] || fOff != e.failOff.Bits[k] {
 			panic(fmt.Sprintf("cover: %s cross-check: bitmap mismatch at pixel %d", op, k))
+		}
+		if near := e.near[k>>6]>>(k&63)&1 == 1; near != p.isNear(c, v) {
+			panic(fmt.Sprintf("cover: %s cross-check: near bitmap mismatch at pixel %d (class %d dose %g)", op, k, c, v))
 		}
 	}
 	const tol = 1e-6
@@ -1037,10 +1111,17 @@ func (e *Eval) ShotRows(s geom.Rect, fn func(j, i0 int, row []float64)) {
 // multiplier dose changes — the changed-interval strips intersected
 // with the union support box — and either scores the Eq. 5 cost change
 // (commit=false, don't-care band skipped) or commits it (commit=true,
-// dose written and the maintained stats/bitmaps retired-and-restored
-// per pixel; band pixels still get their dose update). Pixels outside the strips keep their dose
-// bit-for-bit: beyond the padded interval both edge profiles clamp to
-// identical values, so dI is exactly zero there.
+// dose written and the maintained state retired-and-restored per
+// pixel; band pixels still get their dose update). Pixels outside the
+// strips keep their dose bit-for-bit: beyond the padded interval both
+// edge profiles clamp to identical values, so dI is exactly zero there.
+//
+// A single-axis move fills the changed axis's edge tables over the
+// strip only and the unchanged axis's once (old and new alias: the
+// strip kernel's values depend on the absolute index alone, so they
+// are the bits a separate fill would give). Scoring such a move visits
+// only the near bitmap's pixels when the move is small enough; see
+// scoreNear.
 func (e *Eval) moveScan(old, repl geom.Rect, dose float64, commit bool) float64 {
 	p := e.P
 	g := p.Grid
@@ -1061,119 +1142,249 @@ func (e *Eval) moveScan(old, repl geom.Rect, dose float64, commit bool) float64 
 	ubox := old.Union(repl).Inset(-sup)
 	ui0, uj0 := g.PixelOf(geom.Pt(ubox.X0, ubox.Y0))
 	ui1, uj1 := g.PixelOf(geom.Pt(ubox.X1, ubox.Y1))
-	ui0, uj0 = g.ClampX(ui0), g.ClampY(uj0)
-	ui1, uj1 = g.ClampX(ui1), g.ClampY(uj1)
+	s := strip{i0: g.ClampX(ui0), j0: g.ClampY(uj0), i1: g.ClampX(ui1), j1: g.ClampY(uj1)}
+	switch {
+	case xChanged && yChanged:
+		// general move: scan the whole union support box
+	case xChanged:
+		// vertical strip only
+		i0, _ := g.PixelOf(geom.Pt(xLo, 0))
+		i1, _ := g.PixelOf(geom.Pt(xHi, 0))
+		s.i0, s.i1 = max(g.ClampX(i0), s.i0), min(g.ClampX(i1), s.i1)
+	default:
+		// horizontal strip only
+		_, j0 := g.PixelOf(geom.Pt(0, yLo))
+		_, j1 := g.PixelOf(geom.Pt(0, yHi))
+		s.j0, s.j1 = max(g.ClampY(j0), s.j0), min(g.ClampY(j1), s.j1)
+	}
+	if s.i1 < s.i0 || s.j1 < s.j0 {
+		if commit {
+			e.finishMutation(0)
+		}
+		return 0
+	}
+	px := (s.i1 - s.i0 + 1) * (s.j1 - s.j0 + 1)
 
-	// per-component 1D edge tables over the union box: O(W+H) float32
+	// per-component 1D edge tables over the window: O(W+H) float32
 	// strip-kernel fills up front make the area scans pure widening
 	// multiply-adds (float32 loads, float64 accumulation)
-	nc := model.Components()
-	tab := e.edgeTables(nc, ui1-ui0+1, uj1-uj0+1)
-	for c := 0; c < nc; c++ {
-		model.EdgeProfiles32(tab.exOld[c], c, g.X0, g.Pitch, ui0, old.X0, old.X1)
-		model.EdgeProfiles32(tab.exNew[c], c, g.X0, g.Pitch, ui0, repl.X0, repl.X1)
-		model.EdgeProfiles32(tab.eyOld[c], c, g.Y0, g.Pitch, uj0, old.Y0, old.Y1)
-		model.EdgeProfiles32(tab.eyNew[c], c, g.Y0, g.Pitch, uj0, repl.Y0, repl.Y1)
-	}
-	exO0, exN0 := tab.exOld[0], tab.exNew[0]
-	exO1, exN1 := tab.exOld[1], tab.exNew[1]
-	// the dose folds into the component weights: one multiply per
-	// call, and exactly the unit-dose weights when dose is 1
-	w0, w1 := dose*model.Weight(0), 0.0
-	if nc == 2 {
-		w1 = dose * model.Weight(1)
+	s.nc = model.Components()
+	tab := e.edgeTables(s.nc, s.i1-s.i0+1, s.j1-s.j0+1)
+	for c := 0; c < s.nc; c++ {
+		model.EdgeProfiles32(tab.exOld[c], c, g.X0, g.Pitch, s.i0, old.X0, old.X1)
+		if xChanged {
+			model.EdgeProfiles32(tab.exNew[c], c, g.X0, g.Pitch, s.i0, repl.X0, repl.X1)
+		} else {
+			tab.exNew[c] = tab.exOld[c]
+		}
+		model.EdgeProfiles32(tab.eyOld[c], c, g.Y0, g.Pitch, s.j0, old.Y0, old.Y1)
+		if yChanged {
+			model.EdgeProfiles32(tab.eyNew[c], c, g.Y0, g.Pitch, s.j0, repl.Y0, repl.Y1)
+		} else {
+			tab.eyNew[c] = tab.eyOld[c]
+		}
+		// the dose folds into the component weights: one multiply per
+		// call, and exactly the unit-dose weights when dose is 1
+		s.w[c] = dose * model.Weight(c)
 	}
 
-	rho := p.Params.Rho
-	delta, px := 0.0, 0
-	scan := func(i0, j0, i1, j1 int) {
-		if i1 < i0 || j1 < j0 {
-			return
+	if commit {
+		e.commitStrip(s)
+		e.finishMutation(px)
+		return 0
+	}
+	var delta float64
+	if xChanged != yChanged && !e.noPrune && e.moveBound(s, xChanged) <= p.tau/2 {
+		var visited int
+		delta, visited = e.scoreNear(s)
+		e.PixelsSkipped += int64(px - visited)
+		evalPixelsSkippedTotal.Add(int64(px - visited))
+	} else {
+		delta = e.scoreStrip(s)
+	}
+	e.PixelsScored += int64(px)
+	evalPixelsScoredTotal.Add(int64(px))
+	return delta
+}
+
+// strip is one move's scan window (inclusive pixel box) with its
+// dose-weighted component weights; the edge tables over the window sit
+// in Eval.tab, indexed from (i0, j0).
+type strip struct {
+	i0, j0, i1, j1 int
+	nc             int
+	w              [2]float64
+}
+
+// rowFactors returns row jo's dose-weighted old and new y edge
+// factors of both components (zero for an absent second one).
+func (s *strip) rowFactors(tab *edgeTabs, jo int) (o0, n0, o1, n1 float64) {
+	o0 = s.w[0] * float64(tab.eyOld[0][jo])
+	n0 = s.w[0] * float64(tab.eyNew[0][jo])
+	if s.nc == 2 {
+		o1 = s.w[1] * float64(tab.eyOld[1][jo])
+		n1 = s.w[1] * float64(tab.eyNew[1][jo])
+	}
+	return o0, n0, o1, n1
+}
+
+// moveBound bounds |dI| over a single-axis move's strip:
+// Σ_c |w_c| · max|ΔE_c| along the changed axis · max|E_c| along the
+// unchanged one.
+func (e *Eval) moveBound(s strip, xChanged bool) float64 {
+	tab := &e.tab
+	b := 0.0
+	for c := 0; c < s.nc; c++ {
+		from, to, fixed := tab.exOld[c], tab.exNew[c], tab.eyOld[c]
+		if !xChanged {
+			from, to, fixed = tab.eyOld[c], tab.eyNew[c], tab.exOld[c]
 		}
-		px += (i1 - i0 + 1) * (j1 - j0 + 1)
-		for j := j0; j <= j1; j++ {
-			jo := j - uj0
-			base := j * g.W
-			// hoist the weighted row factors; outside the changed strips
-			// eyOld == eyNew and exOld == exNew bit-for-bit (the strip
-			// kernel's exactness contract), so dI is exactly zero there
-			eyO0 := w0 * float64(tab.eyOld[0][jo])
-			eyN0 := w0 * float64(tab.eyNew[0][jo])
-			var eyO1, eyN1 float64
-			if nc == 2 {
-				eyO1 = w1 * float64(tab.eyOld[1][jo])
-				eyN1 = w1 * float64(tab.eyNew[1][jo])
+		dMax, fMax := 0.0, 0.0
+		for i, v := range from {
+			dMax = max(dMax, math.Abs(float64(to[i])-float64(v)))
+		}
+		for _, v := range fixed {
+			fMax = max(fMax, math.Abs(float64(v)))
+		}
+		b += math.Abs(s.w[c]) * dMax * fMax
+	}
+	return b
+}
+
+// scoreStrip scores the Eq. 5 cost change of a move over its whole
+// strip, row-major, skipping the don't-care band.
+func (e *Eval) scoreStrip(s strip) float64 {
+	p := e.P
+	g := p.Grid
+	tab := &e.tab
+	exO0, exN0 := tab.exOld[0], tab.exNew[0]
+	exO1, exN1 := tab.exOld[1], tab.exNew[1]
+	delta := 0.0
+	for j := s.j0; j <= s.j1; j++ {
+		base := j * g.W
+		// hoist the weighted row factors; outside the changed strips
+		// eyOld == eyNew and exOld == exNew bit-for-bit (the strip
+		// kernel's exactness contract), so dI is exactly zero there
+		eyO0, eyN0, eyO1, eyN1 := s.rowFactors(tab, j-s.j0)
+		for i := s.i0; i <= s.i1; i++ {
+			k := base + i
+			if p.Class[k] == Band {
+				continue
 			}
-			for i := i0; i <= i1; i++ {
-				k := base + i
-				cls := p.Class[k]
-				if !commit && cls == Band {
-					continue
-				}
-				io := i - ui0
+			io := i - s.i0
+			dI := float64(exN0[io])*eyN0 - float64(exO0[io])*eyO0
+			if s.nc == 2 {
+				dI += float64(exN1[io])*eyN1 - float64(exO1[io])*eyO1
+			}
+			if dI == 0 {
+				continue
+			}
+			v := e.Dose.V[k]
+			delta += p.pixelCost(k, v+dI) - p.pixelCost(k, v)
+		}
+	}
+	return delta
+}
+
+// scoreNear is scoreStrip restricted to the near bitmap's pixels, for
+// a move with |dI| ≤ τ/2 everywhere (moveBound): it walks each strip
+// row's set bits and returns the cost change plus the number of pixels
+// visited. It is exact, bit for bit. An unset On pixel has v ≥ ρ+τ
+// and an unset Off pixel v < ρ−τ, so both pixelCost terms of such a
+// pixel are 0 before and after the move and scoreStrip adds exactly
+// +0 for it; the set pixels are summed in scoreStrip's row-major order
+// with scoreStrip's arithmetic, and Band pixels are never set.
+func (e *Eval) scoreNear(s strip) (delta float64, visited int) {
+	p := e.P
+	g := p.Grid
+	tab := &e.tab
+	exO0, exN0 := tab.exOld[0], tab.exNew[0]
+	exO1, exN1 := tab.exOld[1], tab.exNew[1]
+	for j := s.j0; j <= s.j1; j++ {
+		base := j * g.W
+		eyO0, eyN0, eyO1, eyN1 := s.rowFactors(tab, j-s.j0)
+		lo, hi := base+s.i0, base+s.i1
+		for w := lo >> 6; w <= hi>>6; w++ {
+			word := e.near[w]
+			if w == lo>>6 {
+				word &= ^uint64(0) << (lo & 63)
+			}
+			if w == hi>>6 {
+				word &= ^uint64(0) >> (63 - hi&63)
+			}
+			for ; word != 0; word &= word - 1 {
+				k := w<<6 | bits.TrailingZeros64(word)
+				visited++
+				io := k - lo
 				dI := float64(exN0[io])*eyN0 - float64(exO0[io])*eyO0
-				if nc == 2 {
+				if s.nc == 2 {
 					dI += float64(exN1[io])*eyN1 - float64(exO1[io])*eyO1
 				}
 				if dI == 0 {
 					continue
 				}
 				v := e.Dose.V[k]
-				if !commit {
-					delta += p.pixelCost(k, v+dI) - p.pixelCost(k, v)
-					continue
-				}
-				nv := v + dI
-				e.Dose.V[k] = nv
-				switch cls {
-				case On:
-					if e.failOn.Bits[k] {
-						e.failOn.Bits[k] = false
-						e.stats.FailOn--
-						e.stats.Cost -= rho - v
-					}
-					if nv < rho {
-						e.failOn.Bits[k] = true
-						e.stats.FailOn++
-						e.stats.Cost += rho - nv
-					}
-				case Off:
-					if e.failOff.Bits[k] {
-						e.failOff.Bits[k] = false
-						e.stats.FailOff--
-						e.stats.Cost -= v - rho
-					}
-					if nv >= rho {
-						e.failOff.Bits[k] = true
-						e.stats.FailOff++
-						e.stats.Cost += nv - rho
-					}
-				}
+				delta += p.pixelCost(k, v+dI) - p.pixelCost(k, v)
 			}
 		}
 	}
-	switch {
-	case xChanged && yChanged:
-		// general move: scan the whole union support box
-		scan(ui0, uj0, ui1, uj1)
-	case xChanged:
-		// vertical strip only
-		i0, _ := g.PixelOf(geom.Pt(xLo, 0))
-		i1, _ := g.PixelOf(geom.Pt(xHi, 0))
-		scan(max(g.ClampX(i0), ui0), uj0, min(g.ClampX(i1), ui1), uj1)
-	default:
-		// horizontal strip only
-		_, j0 := g.PixelOf(geom.Pt(0, yLo))
-		_, j1 := g.PixelOf(geom.Pt(0, yHi))
-		scan(ui0, max(g.ClampY(j0), uj0), ui1, min(g.ClampY(j1), uj1))
+	return delta, visited
+}
+
+// commitStrip writes a move's dose change over its strip, retiring and
+// restoring each changed constrained pixel's cost term, fail bit and
+// near bit.
+func (e *Eval) commitStrip(s strip) {
+	p := e.P
+	g := p.Grid
+	tab := &e.tab
+	rho := p.Params.Rho
+	exO0, exN0 := tab.exOld[0], tab.exNew[0]
+	exO1, exN1 := tab.exOld[1], tab.exNew[1]
+	for j := s.j0; j <= s.j1; j++ {
+		base := j * g.W
+		eyO0, eyN0, eyO1, eyN1 := s.rowFactors(tab, j-s.j0)
+		for i := s.i0; i <= s.i1; i++ {
+			io := i - s.i0
+			dI := float64(exN0[io])*eyN0 - float64(exO0[io])*eyO0
+			if s.nc == 2 {
+				dI += float64(exN1[io])*eyN1 - float64(exO1[io])*eyO1
+			}
+			if dI == 0 {
+				continue
+			}
+			k := base + i
+			v := e.Dose.V[k]
+			nv := v + dI
+			e.Dose.V[k] = nv
+			switch cls := p.Class[k]; cls {
+			case On:
+				if e.failOn.Bits[k] {
+					e.failOn.Bits[k] = false
+					e.stats.FailOn--
+					e.stats.Cost -= rho - v
+				}
+				if nv < rho {
+					e.failOn.Bits[k] = true
+					e.stats.FailOn++
+					e.stats.Cost += rho - nv
+				}
+				e.setNear(k, p.isNear(cls, nv))
+			case Off:
+				if e.failOff.Bits[k] {
+					e.failOff.Bits[k] = false
+					e.stats.FailOff--
+					e.stats.Cost -= v - rho
+				}
+				if nv >= rho {
+					e.failOff.Bits[k] = true
+					e.stats.FailOff++
+					e.stats.Cost += nv - rho
+				}
+				e.setNear(k, p.isNear(cls, nv))
+			}
+		}
 	}
-	if commit {
-		e.finishMutation(px)
-	} else {
-		e.PixelsScored += int64(px)
-		evalPixelsScoredTotal.Add(int64(px))
-	}
-	return delta
 }
 
 // changedInterval returns the coordinate interval over which the 1D

@@ -71,6 +71,21 @@ func UnionIsLShot(a, b geom.Rect) bool {
 	return uncovered == 1
 }
 
+// LegalMove reports whether replacing shot i by nr keeps the
+// configuration writable: the minimum shot size holds, and when shot i
+// is one arm of an L-shot the moved arm still forms an L with its
+// partner (a single L-aperture flash cannot write a T, staircase or
+// disconnected pair). Unpaired shots only check the size constraint.
+func (e *Eval) LegalMove(i int, nr geom.Rect) bool {
+	if !e.P.MinSizeOK(nr) {
+		return false
+	}
+	if j := e.partner[i]; j >= 0 && !UnionIsLShot(nr, e.Shots[j]) {
+		return false
+	}
+	return true
+}
+
 // Partner returns the index of the shot paired with shot i, or −1 when
 // shot i is an unpaired rectangle.
 func (e *Eval) Partner(i int) int { return e.partner[i] }

@@ -152,6 +152,14 @@ func (m *Model) Weight(c int) float64 { return m.comps[c].weight }
 // a shot's intensity is treated as zero farther than this from the shot.
 func (m *Model) Support() float64 { return m.support }
 
+// MaxStep returns sup_t |P_c(t+d) − P_c(t)|: the most component c's
+// edge profile can change at any point when an edge moves by d. The
+// profile 0.5·(1 + erf(t/σ)) is steepest at the edge, so the supremum
+// is P_c(|d|/2) − P_c(−|d|/2) = erf(|d|/(2σ)).
+func (m *Model) MaxStep(c int, d float64) float64 {
+	return math.Erf(math.Abs(d) / (2 * m.comps[c].sigma))
+}
+
 // profile evaluates one component's edge profile from its LUT with
 // linear interpolation, clamped to {0, 1} beyond 3σ.
 func (c *component) profile(d float64) float64 {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -120,7 +121,8 @@ func TestE2EMetricsMoveAfterFracture(t *testing.T) {
 		"fracd_queue_wait_seconds_count", "fracd_shots_per_shape_count",
 		`fracd_solve_duration_seconds_count{method="proto-eda"}`,
 		"fracd_eval_mutations_total", "fracd_eval_pixels_mutated_total",
-		"fracd_eval_pixels_scored_total", "fracd_eval_pixels_per_mutation_count",
+		"fracd_eval_pixels_scored_total", "fracd_eval_pixels_skipped_total",
+		"fracd_eval_pixels_per_mutation_count",
 		"fracd_eval_arena_hits_total", "fracd_eval_arena_misses_total",
 		"fracd_eval_arena_bytes_reused_total", "fracd_engine_steals_total",
 	} {
@@ -130,6 +132,20 @@ func TestE2EMetricsMoveAfterFracture(t *testing.T) {
 	// counter (and the observer-fed histogram) must have moved
 	if got := metricValue(t, after, "fracd_eval_mutations_total"); got == "0" {
 		t.Error("fracd_eval_mutations_total did not move during a solve")
+	}
+	// proto-eda's edge adjustment scores one-pitch moves, which the
+	// near-threshold scorer serves: skipped pixels must have moved, and
+	// they are a subset of the scored strip pixels
+	scored, err := strconv.ParseFloat(metricValue(t, after, "fracd_eval_pixels_scored_total"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped, err := strconv.ParseFloat(metricValue(t, after, "fracd_eval_pixels_skipped_total"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped == 0 || skipped > scored {
+		t.Errorf("fracd_eval_pixels_skipped_total = %g with %g scored; want 0 < skipped <= scored", skipped, scored)
 	}
 	// the solve churned evaluators through the problem's arena, so
 	// buffer acquisitions (hits or misses) must be visible

@@ -257,8 +257,11 @@ func (s *Server) registerMetrics() {
 		"pixels scanned committing evaluator mutations (process-wide)",
 		func() float64 { return float64(cover.EvalCounters().PixelsMutated) })
 	r.CounterFunc("fracd_eval_pixels_scored_total",
-		"pixels scanned scoring DeltaCost candidates (process-wide)",
+		"strip pixels of scored DeltaCost candidates (process-wide)",
 		func() float64 { return float64(cover.EvalCounters().PixelsScored) })
+	r.CounterFunc("fracd_eval_pixels_skipped_total",
+		"scored strip pixels the near-threshold scorer proved unchanged without visiting (process-wide)",
+		func() float64 { return float64(cover.EvalCounters().PixelsSkipped) })
 	r.CounterFunc("fracd_eval_arena_hits_total",
 		"evaluator buffer acquisitions served from an arena free list (process-wide)",
 		func() float64 { return float64(cover.ArenaCounters().Hits) })

@@ -171,6 +171,9 @@ func EdgeAdjustCtx(ctx context.Context, p *cover.Problem, e *cover.Eval, sweeps 
 // cost-reducing move per shot. Used by baselines to repair dose
 // violations (typically boundary overdose) without the full refinement
 // machinery of the paper's method. Returns the best configuration seen.
+// L-shot pairs and per-shot doses survive: paired arms only make moves
+// that keep their pair an L (Eval.LegalMove), and the restore of the
+// best configuration rebuilds both.
 func EdgeAdjust(p *cover.Problem, e *cover.Eval, sweeps int) {
 	best := e.SnapshotShots()
 	bestFail := e.Stats().Fail()
@@ -193,7 +196,7 @@ func EdgeAdjust(p *cover.Problem, e *cover.Eval, sweeps int) {
 					case 3:
 						nr.Y1 += d
 					}
-					if !p.MinSizeOK(nr) {
+					if !e.LegalMove(i, nr) {
 						continue
 					}
 					if delta := e.DeltaCost(i, nr); delta < bestDelta {
@@ -215,9 +218,30 @@ func EdgeAdjust(p *cover.Problem, e *cover.Eval, sweeps int) {
 		}
 	}
 	// restore the best configuration seen (skip the rebuild when the
-	// final sweep already holds it)
+	// final sweep already holds it); moves change neither the pairs nor
+	// the doses, so the current ones are the best configuration's
 	if !rectsEqual(e.Shots, best) {
-		e.Reset(best)
+		restore(e, best)
+	}
+}
+
+// restore resets e to shots, keeping its current L-shot pairs and
+// per-shot doses. An all-unit-dose, unpaired evaluator (every baseline
+// caller's) restores exactly as Reset would, allocating nothing.
+func restore(e *cover.Eval, shots []geom.Rect) {
+	var doses []float64
+	for i := range e.Shots {
+		if e.ShotDose(i) != 1 {
+			doses = make([]float64, len(e.Shots))
+			for k := range doses {
+				doses[k] = e.ShotDose(k)
+			}
+			break
+		}
+	}
+	e.ResetPaired(shots, e.Pairs())
+	for i, d := range doses {
+		e.SetShotDose(i, d)
 	}
 }
 

@@ -113,3 +113,43 @@ func TestEdgeAdjustKeepsBest(t *testing.T) {
 		t.Errorf("EdgeAdjust broke a feasible solution: %+v", st)
 	}
 }
+
+// TestEdgeAdjustKeepsPairsAndDoses runs EdgeAdjust on paired, dosed
+// evaluators: an L target covered by two arms paired into one L-shot,
+// plus a stray shot at half dose. EdgeAdjust must return with the pair
+// and the dose intact, the pair still an L, and the maintained state
+// equal to a from-scratch evaluation of shots, pairs and doses (the
+// cross-check asserts that after every mutation, the restore
+// included). In the first case an unchecked arm move breaks the L; in
+// the second the best configuration is an earlier sweep's, so
+// EdgeAdjust restores it.
+func TestEdgeAdjustKeepsPairsAndDoses(t *testing.T) {
+	pg := geom.Polygon{
+		geom.Pt(0, 0), geom.Pt(60, 0), geom.Pt(60, 20),
+		geom.Pt(20, 20), geom.Pt(20, 60), geom.Pt(0, 60),
+	}
+	p, err := cover.NewProblem(pg, cover.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shots := range [][]geom.Rect{
+		{{X0: 3, Y0: -1, X1: 58, Y1: 17}, {X0: 3, Y0: 16, X1: 21, Y1: 60}, {X0: 32, Y0: 31, X1: 43, Y1: 46}},
+		{{X0: 2, Y0: 1, X1: 59, Y1: 23}, {X0: 2, Y0: 23, X1: 21, Y1: 63}, {X0: 29, Y0: 28, X1: 42, Y1: 45}},
+	} {
+		e := cover.NewEval(p, shots)
+		e.SetCrossCheck(true)
+		e.Pair(0, 1)
+		e.SetShotDose(2, 0.5)
+		EdgeAdjust(p, e, 30)
+		if e.Partner(0) != 1 || e.PairCount() != 1 {
+			t.Fatalf("from %v: pairing lost: partner(0) = %d, %d pairs", shots, e.Partner(0), e.PairCount())
+		}
+		if !cover.UnionIsLShot(e.Shots[0], e.Shots[1]) {
+			t.Errorf("from %v: arms %v and %v no longer form an L", shots, e.Shots[0], e.Shots[1])
+		}
+		if d := e.ShotDose(2); d != 0.5 {
+			t.Errorf("from %v: dose of shot 2 is %g, want 0.5", shots, d)
+		}
+		e.Close()
+	}
+}

@@ -82,7 +82,7 @@ func lshotPass(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Opt
 	// repair: the paired arms share one dose now (the overlap term is
 	// gone) and snapping may have nudged edges; bounded greedy edge
 	// adjustment — pairing-aware via DeltaCost/ApplyDelta and the
-	// legalMove L-preservation filter — re-balances the dose budget.
+	// LegalMove L-preservation filter — re-balances the dose budget.
 	// When greedy stalls at a flush seam, loosenPairs advances the
 	// dose-neutral inner edges to unlock the partner edge and greedy
 	// retries.
@@ -145,7 +145,7 @@ func lshotPass(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Opt
 // (the extension is covered by the partner already), but the partner's
 // own flush edge gains room to retreat in the next greedy pass; a
 // single-edge retreat from exact flush contact would disconnect the L
-// and is rejected by legalMove, so greedy alone can never open a
+// and is rejected by LegalMove, so greedy alone can never open a
 // seam. Reports whether any edge advanced.
 func loosenPairs(e *cover.Eval) bool {
 	pitch := e.P.Params.Pitch
@@ -228,7 +228,7 @@ func failCountRepair(e *cover.Eval, opt Options, baseFail int) bool {
 		for _, s := range [4]side{left, right, bottom, top} {
 			for _, d := range [4]float64{pitch, -pitch, 2 * pitch, -2 * pitch} {
 				nr := movedRect(e.Shots[idx], s, d)
-				if !legalMove(e, idx, nr) {
+				if !e.LegalMove(idx, nr) {
 					continue
 				}
 				e.SetShot(idx, nr)
@@ -251,7 +251,7 @@ func failCountRepair(e *cover.Eval, opt Options, baseFail int) bool {
 				nri, nrj := movedRect(ri, s, d), movedRect(rj, s, d)
 				// judge legality on the END state: the intermediate
 				// single-arm move steps the union out of L shape, which
-				// the evaluator handles fine and legalMove would reject
+				// the evaluator handles fine and LegalMove would reject
 				if !e.P.MinSizeOK(nri) || !e.P.MinSizeOK(nrj) || !cover.UnionIsLShot(nri, nrj) {
 					continue
 				}

@@ -257,28 +257,14 @@ func edgeSegment(r geom.Rect, s side) (geom.Point, geom.Point) {
 	}
 }
 
-// legalMove reports whether replacing shot i by nr keeps the
-// configuration writable: the minimum shot size holds, and when shot i
-// is one arm of an L-shot the moved arm still forms an L with its
-// partner (a single L-aperture flash cannot write a T, staircase or
-// disconnected pair). Unpaired shots only check the size constraint.
-func legalMove(e *cover.Eval, i int, nr geom.Rect) bool {
-	if !e.P.MinSizeOK(nr) {
-		return false
-	}
-	if j := e.Partner(i); j >= 0 && !cover.UnionIsLShot(nr, e.Shots[j]) {
-		return false
-	}
-	return true
-}
-
 // greedyEdgeAdjust implements the paper's main refinement move (§4.1):
 // score moving every shot edge by ±Δp, sort by cost reduction, and
 // accept reducing moves greedily while blocking any further edge within
 // 2σ of an accepted one (to avoid canceling move cycles). Reports
 // whether any edge moved. Paired L-shot arms participate like any
 // other shot — DeltaCost and ApplyDelta carry the shared-dose overlap
-// term — but only moves that keep the pair an L are considered.
+// term — but only moves that keep the pair an L are considered
+// (Eval.LegalMove).
 func greedyEdgeAdjust(e *cover.Eval, opt Options) bool {
 	p := e.P
 	pitch := p.Params.Pitch
@@ -294,7 +280,7 @@ func greedyEdgeAdjust(e *cover.Eval, opt Options) bool {
 			best := cand{delta: math.Inf(1)}
 			for _, d := range []float64{pitch, -pitch} {
 				nr := movedRect(r, s, d)
-				if !legalMove(e, i, nr) {
+				if !e.LegalMove(i, nr) {
 					continue
 				}
 				delta := e.DeltaCost(i, nr)
@@ -318,7 +304,7 @@ func greedyEdgeAdjust(e *cover.Eval, opt Options) bool {
 	for _, c := range cands {
 		cur := e.Shots[c.shot]
 		nr := movedRect(cur, c.s, c.d)
-		if !legalMove(e, c.shot, nr) {
+		if !e.LegalMove(c.shot, nr) {
 			continue // opposite edge (or the L partner) may have moved already
 		}
 		a, b := edgeSegment(nr, c.s)

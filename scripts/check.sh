@@ -55,10 +55,18 @@ go test -race -count=1 -run 'TestSoakSmoke' ./cmd/loadgen
 
 # every evaluator client runs once more with the cross-check on: each
 # cover.Eval mutation — per-shot dose steps (vdose), matching pursuit's
-# residual reads, the candidate scorer's strip tables — re-verifies
-# against its own dose field and a from-scratch evaluation
+# residual reads, the candidate scorer's strip tables, the refinement
+# moves mbf and proto-eda score on the near bitmap — re-verifies its
+# failing and near bitmaps against its own dose field and its stats
+# against a from-scratch evaluation
 echo "== go test cover.Eval clients under MASKFRAC_EVAL_CHECK =="
-MASKFRAC_EVAL_CHECK=1 go test -count=1 ./internal/cover ./internal/fracture/vdose ./internal/fracture/mp ./internal/fracture/gsc ./internal/fracture/fixup
+MASKFRAC_EVAL_CHECK=1 go test -count=1 ./internal/cover ./internal/fracture/vdose ./internal/fracture/mp ./internal/fracture/gsc ./internal/fracture/fixup ./internal/fracture/mbf ./internal/fracture/protoeda
+
+# a short fuzz run of the move scorer beyond the committed seed corpus:
+# DeltaCost must equal the full strip scan bit for bit and ApplyDelta
+# must realize it, on random shots, doses, L-pairs and both models
+echo "== go test -fuzz FuzzDeltaCost (10s) =="
+go test -run '^$' -fuzz '^FuzzDeltaCost$' -fuzztime 10s -parallel 2 ./internal/cover
 
 # -short skips the multi-minute fracturing integration suites, which are
 # too slow under the race detector; the concurrency-heavy tests
