@@ -754,34 +754,60 @@ func BenchmarkEngineRegions(b *testing.B) {
 	}
 }
 
-// TestEngineParallelSpeedup is the multicore acceptance gate: on a
-// machine with at least 4 CPUs the four-region instance must solve at
-// least 2x faster with 4 workers than with 1, producing identical shot
-// lists. Single-CPU builders skip with an explicit message (the
-// benchmark pair above still runs there and shows parity, which is the
-// expected single-core result, not a regression).
+// TestEngineParallelSpeedup is the multicore acceptance gate, in two
+// tiers: on a machine with at least 4 CPUs the four-region instance
+// must solve at least 2x faster with 4 workers than with 1, and on one
+// with at least 2 CPUs at least engineSpeedup2 faster with 2 workers
+// than with 1, producing identical shot lists. A tier the machine
+// cannot run skips with an explicit message — a skip, not a pass.
 func TestEngineParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multicore speedup gate skipped in -short mode")
 	}
-	if n, g := runtime.NumCPU(), runtime.GOMAXPROCS(0); n < 4 || g < 4 {
-		t.Skipf("SKIP multicore speedup gate: needs >=4 usable CPUs, have NumCPU=%d GOMAXPROCS=%d "+
-			"(single-CPU builders cannot demonstrate parallel speedup; this is a skip, not a pass)", n, g)
+	for _, tier := range []struct {
+		workers int
+		gate    float64
+	}{{4, 2}, {2, engineSpeedup2}} {
+		t.Run(fmt.Sprintf("%dcpu", tier.workers), func(t *testing.T) {
+			if n, g := runtime.NumCPU(), runtime.GOMAXPROCS(0); n < tier.workers || g < tier.workers {
+				t.Skipf("SKIP %d-CPU speedup gate: needs >=%d usable CPUs, have NumCPU=%d GOMAXPROCS=%d "+
+					"(this is a skip, not a pass)", tier.workers, tier.workers, n, g)
+			}
+			seq, par := engineSpeedup(t, tier.workers)
+			speedup := float64(seq) / float64(par)
+			t.Logf("4-region solve: 1 worker %v, %d workers %v — %.2fx speedup", seq, tier.workers, par, speedup)
+			if speedup < tier.gate {
+				t.Errorf("%d-worker speedup %.2fx below the %.2fx gate (1 worker %v, %d workers %v)",
+					tier.workers, speedup, tier.gate, seq, tier.workers, par)
+			}
+		})
 	}
-	targets := engineBenchTargets()
-	prob, err := NewMultiProblem(targets, DefaultParams())
+}
+
+// engineSpeedup2 is the 2-CPU tier's gate. 24 runs on a 2-vCPU Xeon
+// VM (go1.24, shared host) measured 2-worker speedups from 1.33x to
+// 2.21x: quartiles 1.55, 1.71 and 1.87, so an interquartile range of
+// 0.32. The gate is the lower quartile minus that range, rounded
+// down: below every measured run, and above the 1.0x of a solve that
+// lost its second core.
+const engineSpeedup2 = 1.2
+
+// engineSpeedup returns the min-of-3 wall times of the four-region
+// instance's MBF solve with 1 worker and with the given number, after
+// checking both give the same shot list. The solver is deterministic,
+// so every run returns the same shots; the minimum filters scheduler
+// noise.
+func engineSpeedup(t *testing.T, workers int) (seq, par time.Duration) {
+	prob, err := NewMultiProblem(engineBenchTargets(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	// min-of-3 wall time filters scheduler noise; the MBF solver is
-	// deterministic, so every run returns the same shot list
 	measure := func(workers int) (time.Duration, *Result) {
 		best := time.Duration(1<<62 - 1)
 		var res *Result
 		for rep := 0; rep < 3; rep++ {
 			start := time.Now()
-			r, err := prob.FractureCtx(ctx, MethodMBF, &Options{Workers: workers})
+			r, err := prob.FractureCtx(context.Background(), MethodMBF, &Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -793,13 +819,9 @@ func TestEngineParallelSpeedup(t *testing.T) {
 		return best, res
 	}
 	seq, seqRes := measure(1)
-	par, parRes := measure(4)
+	par, parRes := measure(workers)
 	if !reflect.DeepEqual(seqRes.Shots, parRes.Shots) {
-		t.Fatal("1-worker and 4-worker runs produced different shot lists")
+		t.Fatalf("1-worker and %d-worker runs produced different shot lists", workers)
 	}
-	speedup := float64(seq) / float64(par)
-	t.Logf("4-region solve: 1 worker %v, 4 workers %v — %.2fx speedup", seq, par, speedup)
-	if speedup < 2 {
-		t.Errorf("4-worker speedup %.2fx below the 2x gate (1 worker %v, 4 workers %v)", speedup, seq, par)
-	}
+	return seq, par
 }

@@ -212,7 +212,7 @@ func (e *Eval) ResetPaired(shots []geom.Rect, pairs [][2]int) {
 	e.resetPartners(len(shots))
 	e.doses = nil
 	for _, s := range e.Shots {
-		e.accBuf = e.P.Model.AccumulateShotBuf(e.Dose, s, 1, e.accBuf)
+		e.accumulate(s, 1)
 	}
 	for _, pr := range pairs {
 		i, j := pr[0], pr[1]
@@ -221,7 +221,7 @@ func (e *Eval) ResetPaired(shots []geom.Rect, pairs [][2]int) {
 		}
 		e.partner[i], e.partner[j] = j, i
 		if o := pairOverlap(e.Shots[i], e.Shots[j]); o != (geom.Rect{}) {
-			e.accBuf = e.P.Model.AccumulateShotBuf(e.Dose, o, -1, e.accBuf)
+			e.accumulate(o, -1)
 		}
 	}
 	e.rebuildState()
@@ -334,9 +334,7 @@ func (e *Eval) termScan(terms []doseTerm) float64 {
 			delta += p.pixelCost(k, v+dI) - p.pixelCost(k, v)
 		}
 	}
-	px := nx * ny
-	e.PixelsScored += int64(px)
-	evalPixelsScoredTotal.Add(int64(px))
+	e.countScored(nx*ny, 0)
 	return delta
 }
 

@@ -275,7 +275,8 @@ func (m *Model) EdgeProfiles(dst []float64, c int, t0, pitch float64, i0 int, a,
 // contiguous segments — a constant prefix, a short LUT-interpolated
 // ramp (~6σ/pitch samples), and a constant suffix — so the bulk of a
 // wide strip is a branch-free constant fill and only the ramp pays for
-// interpolation, with no per-sample clamp tests in either loop.
+// interpolation; just the two-sample margins around each clamp
+// boundary take per-sample clamp tests.
 //
 // Exactness contract: dst[i] is a deterministic function of the
 // absolute pixel index i0+i and the edge pair (a, b) alone — the same
@@ -310,13 +311,32 @@ func (c *component) applyProfile32(dst []float32, t0, pitch float64, i0 int, e f
 	mHi := int(math.Floor((float64(lutCells-1)*step-s3+e-t0)/pitch - 0.5))
 	lo := min(max(mLo-i0, 0), n)
 	hi := min(max(mHi-i0+1, lo), n)
+	// Samples two or more indices below u = 0 (above u = lutCells) sit
+	// two pitches inside the clamp, far beyond the rounding of u, so
+	// applySample32 would give them exactly 0 (1): they are constant
+	// runs. Only the margin samples between the runs and the ramp take
+	// the branchy per-sample path.
+	mZero := int(math.Floor((e-s3-t0)/pitch-0.5)) - 2
+	mOne := int(math.Ceil((float64(lutCells)*step-s3+e-t0)/pitch-0.5)) + 2
+	z := min(max(mZero-i0+1, 0), lo)
+	o := max(min(mOne-i0, n), hi)
 
 	lut := c.lut32
-	// constant prefix/suffix plus the few clamp-boundary samples
-	for i := 0; i < lo; i++ {
+	if sign > 0 {
+		clear(dst[:z])
+		for i := o; i < n; i++ {
+			dst[i] = 1
+		}
+	} else {
+		// subtracting the zero run leaves dst bit for bit unchanged
+		for i := o; i < n; i++ {
+			dst[i] -= 1
+		}
+	}
+	for i := z; i < lo; i++ {
 		applySample32(dst, lut, i, t0, pitch, i0, e, s3, step, sign)
 	}
-	for i := hi; i < n; i++ {
+	for i := hi; i < o; i++ {
 		applySample32(dst, lut, i, t0, pitch, i0, e, s3, step, sign)
 	}
 	// the ramp: branch-free interpolation, k ∈ [0, lutCells−1] by the
@@ -339,7 +359,7 @@ func (c *component) applyProfile32(dst []float32, t0, pitch float64, i0 int, e f
 	}
 }
 
-// applySample32 handles one clamp-region sample of applyProfile32 with
+// applySample32 handles one clamp-margin sample of applyProfile32 with
 // the full branchy profile evaluation; it computes the identical
 // formula as the ramp loop when u happens to land in range, so segment
 // boundaries never change a sample's value.

@@ -122,6 +122,7 @@ func TestE2EMetricsMoveAfterFracture(t *testing.T) {
 		`fracd_solve_duration_seconds_count{method="proto-eda"}`,
 		"fracd_eval_mutations_total", "fracd_eval_pixels_mutated_total",
 		"fracd_eval_pixels_scored_total", "fracd_eval_pixels_skipped_total",
+		"fracd_eval_pixels_speculative_total", "fracd_shape_panics_total",
 		"fracd_eval_pixels_per_mutation_count",
 		"fracd_eval_arena_hits_total", "fracd_eval_arena_misses_total",
 		"fracd_eval_arena_bytes_reused_total", "fracd_engine_steals_total",

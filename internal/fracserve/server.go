@@ -112,6 +112,7 @@ type Server struct {
 	cfg    Config
 	cache  *maskfrac.ShapeCache
 	jobs   chan *job
+	pool   *engine.Pool // Workers−1 extra solver goroutines, shared by every shape
 	mux    *http.ServeMux
 	log    *slog.Logger
 	reg    *telemetry.Registry
@@ -131,6 +132,7 @@ type Server struct {
 	planSavedSec *telemetry.Gauge
 	rejected     *telemetry.Counter
 	timeouts     *telemetry.Counter
+	panics       *telemetry.Counter
 	regionsHist  *telemetry.Histogram
 	inflight     *telemetry.Gauge
 	reqDur       *telemetry.HistogramVec // by endpoint path
@@ -159,6 +161,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		jobs:   make(chan *job, cfg.QueueDepth),
+		pool:   engine.NewPool(cfg.Workers - 1),
 		log:    cfg.Logger,
 		reg:    cfg.Metrics,
 		traces: tracestore.New(cfg.TraceStore),
@@ -215,6 +218,8 @@ func (s *Server) registerMetrics() {
 		"requests rejected with 429 because the work queue was full")
 	s.timeouts = r.Counter("fracd_requests_timeout_total",
 		"requests that exceeded their deadline (504)")
+	s.panics = r.Counter("fracd_shape_panics_total",
+		"solves that panicked, answered with a per-shape error")
 	s.inflight = r.Gauge("fracd_inflight_requests",
 		"HTTP requests currently being served")
 	s.reqDur = r.HistogramVec("fracd_request_duration_seconds",
@@ -262,6 +267,9 @@ func (s *Server) registerMetrics() {
 	r.CounterFunc("fracd_eval_pixels_skipped_total",
 		"scored strip pixels the near-threshold scorer proved unchanged without visiting (process-wide)",
 		func() float64 { return float64(cover.EvalCounters().PixelsSkipped) })
+	r.CounterFunc("fracd_eval_pixels_speculative_total",
+		"pixels scored and mutated by speculative solver work that was discarded, outside every other fracd_eval_pixels counter (process-wide)",
+		func() float64 { return float64(cover.EvalCounters().PixelsSpeculative) })
 	r.CounterFunc("fracd_eval_arena_hits_total",
 		"evaluator buffer acquisitions served from an arena free list (process-wide)",
 		func() float64 { return float64(cover.ArenaCounters().Hits) })
@@ -485,7 +493,14 @@ func (s *Server) run(j *job) {
 	// the engine and mbf packages) nest under the request's trace
 	sctx, shapeSpan := telemetry.StartSpan(j.ctx, "fracd.shape")
 	shapeSpan.Set("index", j.idx)
-	res, hit, err := maskfrac.FractureCached(sctx, j.target, j.params, j.method, j.opt, s.cache)
+	var (
+		res *maskfrac.Result
+		hit bool
+	)
+	err := s.contain(j.reqID, func() (err error) {
+		res, hit, err = maskfrac.FractureCached(engine.WithPool(sctx, s.pool), j.target, j.params, j.method, j.opt, s.cache)
+		return err
+	})
 	if err != nil {
 		item.Error = err.Error()
 	} else {
@@ -521,6 +536,20 @@ func (s *Server) run(j *job) {
 			"queue_wait_ms", float64(wait)/float64(time.Millisecond),
 			"solve_ms", item.SolveMS, "err", item.Error)
 	}
+}
+
+// contain runs solve and turns a panic inside it into an error, counted
+// in fracd_shape_panics_total and logged with its stack: one poison
+// input fails its own shape or request, never the daemon.
+func (s *Server) contain(reqID string, solve func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Inc()
+			s.log.Error("solver panicked", "id", reqID, "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+			err = fmt.Errorf("internal error: solver panicked: %v", r)
+		}
+	}()
+	return solve()
 }
 
 // record folds a finished item into the per-method metrics.

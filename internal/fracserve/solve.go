@@ -94,7 +94,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, err := prob.FractureCtx(ctx, method, opt)
+	var res *maskfrac.Result
+	err = s.contain(reqID, func() (err error) {
+		res, err = prob.FractureCtx(ctx, method, opt)
+		return err
+	})
 	item := ItemResult{}
 	if err != nil {
 		item.Error = err.Error()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"maskfrac/internal/cover"
@@ -90,10 +89,13 @@ type Config struct {
 	Method string
 	// Options are the method-generic solver knobs.
 	Options Options
-	// Workers caps the number of regions solved concurrently; <= 0
-	// selects GOMAXPROCS. Ignored when the context already carries a
-	// Pool (the enclosing batch then owns the budget). Workers never
-	// changes the result — parallel and sequential runs stitch
+	// Workers caps the goroutines one solve runs on — regions solved
+	// concurrently, and within a region the solver's own parallel
+	// passes (mbf's deletion trials); <= 0 selects GOMAXPROCS. Solve
+	// makes a pool of Workers−1 tokens and attaches it to the context
+	// its solvers see. Ignored when the context already carries a Pool
+	// (the enclosing batch or server then owns the budget). Workers
+	// never changes the result — parallel and sequential runs stitch
 	// byte-identical shot lists.
 	Workers int
 }
@@ -129,7 +131,9 @@ type Result struct {
 // single-region instance
 // (the common case: one shape, or a main feature whose SRAFs all sit
 // within interaction range) is solved directly on the original problem
-// with no subproblem construction. When ctx carries a telemetry trace,
+// with no subproblem construction. Either way the solver sees the pool
+// on its context, so a single region's solver can put the idle tokens
+// to work itself. When ctx carries a telemetry trace,
 // the run records "plan", per-region "region" and "stitch" spans.
 func Solve(ctx context.Context, p *cover.Problem, cfg Config) (*Result, error) {
 	fn, ok := Lookup(cfg.Method)
@@ -143,6 +147,16 @@ func Solve(ctx context.Context, p *cover.Problem, cfg Config) (*Result, error) {
 	planSpan.Set("regions", len(regions))
 	planSpan.End()
 
+	pool := PoolFrom(ctx)
+	if pool == nil {
+		workers := cfg.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		// the calling goroutine solves too, so it needs workers-1 extras
+		pool = NewPool(workers - 1)
+		ctx = WithPool(ctx, pool)
+	}
 	if len(regions) == 1 {
 		start := time.Now()
 		sol, err := fn(ctx, p, cfg.Options)
@@ -162,15 +176,6 @@ func Solve(ctx context.Context, p *cover.Problem, cfg Config) (*Result, error) {
 		}, nil
 	}
 
-	pool := PoolFrom(ctx)
-	if pool == nil {
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		// the calling goroutine solves too, so it needs workers-1 extras
-		pool = NewPool(workers - 1)
-	}
 	results := make([]RegionResult, len(regions))
 	shots := make([][]geom.Rect, len(regions))
 	pairs := make([][][2]int, len(regions))
@@ -215,8 +220,10 @@ func Solve(ctx context.Context, p *cover.Problem, cfg Config) (*Result, error) {
 	// steal the next one instead of being assigned a fixed share. With
 	// no token free the caller drains the whole queue inline — the
 	// engine always makes progress with zero extra concurrency.
+	// A region solver's panic surfaces on the calling goroutine once
+	// every helper has stopped (Pool.Fan), as it would sequentially.
 	queue := newRegionQueue(p, regions)
-	drain := func(stealing bool) {
+	pool.Fan(len(regions)-1, func(stealing bool) {
 		for {
 			i, ok := queue.pop()
 			if !ok {
@@ -227,18 +234,7 @@ func Solve(ctx context.Context, p *cover.Problem, cfg Config) (*Result, error) {
 			}
 			solveRegion(i)
 		}
-	}
-	var wg sync.WaitGroup
-	for extra := 0; extra < len(regions)-1 && pool.TryAcquire(); extra++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer pool.Release()
-			drain(true)
-		}()
-	}
-	drain(false)
-	wg.Wait()
+	}, queue.close)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -1,6 +1,9 @@
 package engine
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
 // Pool bounds the number of extra solver goroutines a process may run
 // beyond the goroutines that already carry work. Batch-level solving
@@ -53,6 +56,56 @@ func (p *Pool) Extra() int {
 		return 0
 	}
 	return cap(p.sem)
+}
+
+// Fan runs work on the calling goroutine and on up to helpers extra
+// goroutines, one per token it can take from p without blocking, and
+// returns when every copy has returned; work's argument reports whether
+// it runs on a helper. The copies share their work through whatever
+// work closes over (a queue, a cursor). With no token free — or a nil
+// pool — work runs once, inline.
+//
+// A panic in any copy is contained: Fan calls abort (when non-nil) so
+// the other copies can stop taking work, waits for them all, then
+// re-panics on the calling goroutine with the first panic's value. A
+// parallel run therefore fails the way the sequential one would — on
+// the caller's goroutine, where its recovery (if any) sits — instead
+// of killing the process from a helper.
+func (p *Pool) Fan(helpers int, work func(helper bool), abort func()) {
+	var (
+		mu       sync.Mutex
+		panicked bool
+		first    any
+		wg       sync.WaitGroup
+	)
+	run := func(helper bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if !panicked {
+					panicked, first = true, r
+				}
+				mu.Unlock()
+				if abort != nil {
+					abort()
+				}
+			}
+		}()
+		work(helper)
+	}
+	for extra := 0; extra < helpers && p.TryAcquire(); extra++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer p.Release()
+			run(true)
+		}()
+	}
+	run(false)
+	wg.Wait()
+	if panicked {
+		panic(first)
+	}
 }
 
 type poolKey struct{}

@@ -57,6 +57,12 @@ func newRegionQueue(p *cover.Problem, regions []Region) *regionQueue {
 	return &regionQueue{order: order}
 }
 
+// close drains the queue: later pops report false. Used to stop the
+// other workers after a region solver panics.
+func (q *regionQueue) close() {
+	q.next.Store(int64(len(q.order)))
+}
+
 // pop claims the largest remaining region, reporting false when the
 // queue is drained. Safe for concurrent use.
 func (q *regionQueue) pop() (int, bool) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/list"
 	"context"
+	"errors"
 	"sort"
 	"sync"
 
@@ -123,12 +124,17 @@ func (c *Cache) Put(k Key, e *Entry) {
 	c.putLocked(k, e)
 }
 
+// errComputePanicked is what the waiters of a flight whose compute
+// panicked receive.
+var errComputePanicked = errors.New("shapecache: the solve of this shape panicked")
+
 // Do returns the entry for k, computing and storing it with compute on
 // a miss. Concurrent calls for the same key run compute once; the rest
 // wait for its result (or their context). The boolean reports whether
 // the entry came from the cache or a concurrent computation rather than
 // this call's own compute. Errors are returned to every waiter and
-// never cached.
+// never cached. A panic in compute propagates to this call's caller;
+// the waiters get an error and the key is computed afresh next time.
 func (c *Cache) Do(ctx context.Context, k Key, compute func() (*Entry, error)) (*Entry, bool, error) {
 	c.mu.Lock()
 	if e := c.getLocked(k); e != nil {
@@ -159,7 +165,21 @@ func (c *Cache) Do(ctx context.Context, k Key, compute func() (*Entry, error)) (
 	c.misses++
 	c.mu.Unlock()
 
+	// a compute that panics must not strand its waiters, nor every later
+	// lookup of k, on a flight that never lands: fail the flight, then
+	// let the panic go on
+	landed := false
+	defer func() {
+		if !landed {
+			fl.err = errComputePanicked
+			c.mu.Lock()
+			delete(c.flights, k)
+			c.mu.Unlock()
+			close(fl.done)
+		}
+	}()
 	e, err := compute()
+	landed = true
 	fl.entry, fl.err = e, err
 	c.mu.Lock()
 	delete(c.flights, k)

@@ -72,14 +72,20 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // Child appends and returns a new child span without touching the
 // context — the cheap form for instrumenting loops.
 func (s *Span) Child(name string) *Span {
+	c := s.Detached(name)
+	s.Adopt(c)
+	return c
+}
+
+// Detached starts a span of s's trace without placing it in the tree:
+// work that may turn out not to belong to the trace (a speculative
+// trial whose result is discarded) records into it, and s.Adopt grafts
+// it in if it does.
+func (s *Span) Detached(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{Name: name, Start: time.Now(), trace: s.trace, id: newSpanID()}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
-	return c
+	return &Span{Name: name, Start: time.Now(), trace: s.trace, id: newSpanID()}
 }
 
 // ID returns the span's 8-byte hex ID ("" on a nil span).
