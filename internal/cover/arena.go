@@ -1,8 +1,8 @@
-// Per-Eval buffer arenas: the dose grid, pixel bitmaps, edge
-// tables and accumulation scratch of an evaluator are the dominant
-// allocations of a cache-miss solve, and the refinement loops of every
-// heuristic construct evaluators repeatedly (polish candidates,
-// removal trials, merge passes). An Arena recycles those buffers
+// Per-Eval buffer arenas: the dose grid, pixel bitmaps and float32
+// scratch (edge tables, their memo, accumulation) of an evaluator are
+// the dominant allocations of a cache-miss solve, and the refinement
+// loops of every heuristic construct evaluators repeatedly (polish
+// candidates, removal trials, merge passes). An Arena recycles those buffers
 // within a Problem, and a process-wide sync.Pool recycles whole arenas
 // across solves, so the steady state allocates nothing.
 package cover
@@ -39,17 +39,20 @@ func ArenaCounters() ArenaStats {
 }
 
 // arenaListCap bounds each free list; an evaluator holds one dose
-// field, three bitmaps and two scratch slices, so a handful of retained
+// field, two failing bitmaps, the near-bitmap words and one float32
+// scratch buffer (laid out by Eval.bufLayout), so a handful of retained
 // buffers covers the construct-close-construct churn of the
 // refinement loops without hoarding.
 const arenaListCap = 8
 
 // An Arena recycles the large buffers behind cover evaluators. Buffers
 // flow out through the get methods (NewEval, Problem.Evaluate) and
-// back in through Eval.Close; the free lists are mutex-guarded so a
-// Problem's arena tolerates concurrent evaluators, though region
-// solves are expected to use one arena per subproblem (they share
-// nothing but the read-only model tables).
+// back in through Eval.Close. The free lists are mutex-guarded, and
+// concurrent evaluators on one Problem's arena rely on it: mbf's
+// parallel deletion trials construct and close their evaluators on the
+// region's arena from several goroutines at once. Separate regions
+// use one arena per subproblem (they share nothing but the read-only
+// model tables).
 //
 // The zero value is ready to use. Arenas themselves are pooled
 // process-wide: NewArena draws from a sync.Pool and Problem.Recycle

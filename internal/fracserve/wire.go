@@ -127,8 +127,10 @@ type SolveRequest struct {
 	Params *ParamsWire `json:"params,omitempty"`
 	// Options tunes the selected method.
 	Options *OptionsWire `json:"options,omitempty"`
-	// Workers caps the number of regions solved concurrently; 0 selects
-	// the server's worker count. Workers never changes the solution.
+	// Workers caps the goroutines the solve runs on: regions solved
+	// concurrently and, within a region, MBF's parallel deletion
+	// trials, single-region instances included; 0 selects the server's
+	// worker count. Workers never changes the solution.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS caps this request's wall time in milliseconds; 0
 	// selects the server default. The server clamps it to its maximum.

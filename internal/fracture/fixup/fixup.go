@@ -157,7 +157,14 @@ func legalize(p *cover.Problem, r geom.Rect) geom.Rect {
 // it records a "fixup.edgeadjust" span annotated with the sweep budget
 // and the remaining violations.
 func EdgeAdjustCtx(ctx context.Context, p *cover.Problem, e *cover.Eval, sweeps int) {
-	span := telemetry.ActiveSpan(ctx).Child("fixup.edgeadjust")
+	EdgeAdjustSpan(telemetry.ActiveSpan(ctx).Child("fixup.edgeadjust"), p, e, sweeps)
+}
+
+// EdgeAdjustSpan runs EdgeAdjust and, when span is non-nil, annotates
+// span with the sweep budget and the remaining violations and ends it.
+// Callers that start the span themselves (a detached span of a parallel
+// trial) use it; the rest use EdgeAdjustCtx.
+func EdgeAdjustSpan(span *telemetry.Span, p *cover.Problem, e *cover.Eval, sweeps int) {
 	EdgeAdjust(p, e, sweeps)
 	if span != nil {
 		span.Set("sweeps", sweeps)

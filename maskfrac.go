@@ -115,10 +115,12 @@ type Options struct {
 	ColoringOrder string
 	// SkipRefinement stops MethodMBF after the coloring stage.
 	SkipRefinement bool
-	// Workers caps the number of independent regions of a multi-target
-	// instance solved concurrently; 0 selects GOMAXPROCS. Inside a
-	// FractureBatch run, region- and batch-level concurrency share the
-	// batch's bounded pool instead. Workers never changes the solution:
+	// Workers caps the goroutines one solve runs on: the independent
+	// regions of a multi-target instance solved concurrently, and
+	// within a region MBF's parallel deletion trials, single-region
+	// instances included; 0 selects GOMAXPROCS. Inside a FractureBatch
+	// run, region- and batch-level concurrency share the batch's
+	// bounded pool instead. Workers never changes the solution:
 	// parallel and sequential runs return byte-identical shot lists, so
 	// it is excluded from the shape-cache key.
 	Workers int
